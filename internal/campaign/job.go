@@ -105,9 +105,9 @@ type executor struct {
 	flight *runcache.Flight[scenario.Result]
 
 	// keys memoizes the base grid's cache keys when Replicate > 1:
-	// replica r of run i shares run i's key, and computing a key costs
-	// ~20µs (a reflective digest of the device profile), which would
-	// dominate a cache-replay campaign. Sized to one replica — the
+	// replica r of run i shares run i's key, so a replayed replica costs
+	// a slice read instead of a ~1.5µs reflective encoding and SHA-256
+	// of the run's inputs. Sized to one replica — the
 	// base grid — so population-scale campaigns (small grid, huge
 	// Replicate) pay O(base), not O(runs). Filled once before the
 	// first shard folds; read-only after.

@@ -89,20 +89,19 @@ func runExtUpload(cfg Config) *Output {
 		"Protocol", "Upload energy (J)", "Download energy (J)", "Upload premium")
 	protos := []scenario.Protocol{scenario.MPTCP, scenario.EMPTCP, scenario.TCPWiFi, scenario.TCPLTE}
 	runs := cfg.runs(3)
-	type upDown struct{ up, down float64 }
-	rs := repeatRuns(cfg, len(protos)*runs, func(j int, opt scenario.Opts) upDown {
-		p, i := protos[j/runs], j%runs
+	// Index j is one (protocol, seed, direction) run, so each run gets its
+	// own recorder slot: upload at even j, download at odd j.
+	works := [2]workload.Workload{workload.FileUpload{Size: size}, workload.FileDownload{Size: size}}
+	rs := repeatRuns(cfg, len(protos)*runs*2, func(j int, opt scenario.Opts) float64 {
+		p, i := protos[j/(2*runs)], j/2%runs
 		opt.Seed = cfg.BaseSeed + int64(i)
-		// Both directions of one index share the run's recorder slot.
-		up := scenario.Run(scenario.StaticLab(cfg.device(), 6, 4.5, workload.FileUpload{Size: size}), p, opt)
-		down := scenario.Run(scenario.StaticLab(cfg.device(), 6, 4.5, workload.FileDownload{Size: size}), p, opt)
-		return upDown{up: up.Energy.Joules(), down: down.Energy.Joules()}
+		return scenario.Run(scenario.StaticLab(cfg.device(), 6, 4.5, works[j%2]), p, opt).Energy.Joules()
 	})
 	for pi, p := range protos {
 		var upE, downE []float64
-		for _, r := range rs[pi*runs : (pi+1)*runs] {
-			upE = append(upE, r.up)
-			downE = append(downE, r.down)
+		for i := pi * runs * 2; i < (pi+1)*runs*2; i += 2 {
+			upE = append(upE, rs[i])
+			downE = append(downE, rs[i+1])
 		}
 		premium := stats.Ratio(stats.Mean(upE), stats.Mean(downE))
 		t.Addf(p.String(), stats.Mean(upE), stats.Mean(downE), fmt.Sprintf("%.0f%%", premium))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -74,6 +75,24 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 	}
 	if c.Runs() == 0 {
 		t.Error("collector reserved no runs")
+	}
+}
+
+// Every registered experiment must trace cleanly with events and
+// metrics on. A metrics recorder panics when its samples go back in
+// time, which is what a recorder slot shared by two runs produces.
+func TestTraceEveryExperiment(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			c := &trace.Collector{WantEvents: true, WantMetrics: true, SampleEvery: 1}
+			e.Run(Config{Quick: true, Trace: c})
+			if err := c.WriteJSONL(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WriteMetrics(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

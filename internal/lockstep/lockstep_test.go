@@ -243,7 +243,7 @@ func TestLockstepSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("lane %d peeled in an envelope scenario", i)
 		}
 	}
-	b.drive() // warm: seed-state cache, accountant buffers
+	b.drive() // warm: accountant buffers
 
 	res := make([]scenario.Result, k)
 	allocs := testing.AllocsPerRun(20, func() {

@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"sync"
 
 	"repro/internal/runcache"
 )
@@ -15,23 +18,43 @@ type RunCache = runcache.Cache[Result]
 // NewRunCache returns an empty run cache.
 func NewRunCache() *RunCache { return runcache.New[Result]() }
 
-// cacheKey digests everything a run's outcome depends on: the scenario's
+// keyVersion leads every key encoding. Bump it whenever the encoding or
+// the fields of a digested type change, so keys — and the results
+// persisted under them by runcache.Store — from the old layout miss
+// instead of replaying under a new meaning. TestCacheKeyGolden pins one
+// key to force the bump.
+const keyVersion = 1
+
+// Tags of the key encoding: one before every leaf and every composite.
+const (
+	tagBool byte = iota + 1
+	tagInt
+	tagFloat
+	tagString
+	tagNil    // nil pointer or interface
+	tagPtr    // non-nil pointer; the pointee follows
+	tagIface  // non-nil interface: its concrete type's package and name, then the value
+	tagArray  // array: the length, then the elements
+	tagStruct // struct: the field count, then the fields in order
+)
+
+// CacheKey digests everything a run's outcome depends on: the scenario's
 // construction (device profile contents, link signature, RTTs, horizon,
-// workload, controller overrides, app power), the protocol, and the
-// run options (seed, tracing). It reports ok=false when the run is not
+// workload, controller overrides, app power), the protocol, and the run
+// options (seed, tracing). It reports ok=false when the run is not
 // cache-eligible: the scenario was built outside this package's library
 // (no link signature, so the link-builder funcs are opaque), or a
 // Recorder observes the run's events in-line.
 //
-// Everything digested is a value: DeviceProfile, core.Config, and the
-// workload types are plain data structs, so %+v prints their full
-// contents and two scenarios digest equal iff a run cannot tell them
-// apart. The per-run RNG is rebuilt from Seed, so equal digests imply
-// bit-identical results.
-// CacheKey exposes the run-content digest to persistence layers outside
-// this package — the campaign engine keys its disk cache with it, so an
-// on-disk result is exactly as trustworthy as an in-process cached one:
-// equal digests imply bit-identical results.
+// The digest is the SHA-256 of one canonical binary encoding: a version
+// byte, then every input as a tagged leaf — floats by their IEEE bits,
+// strings length-prefixed — from a reflective walk of the device
+// profile, controller and EIB overrides and the workload, which also
+// records the workload's concrete type and whether each pointer is nil.
+// No leaf is rendered through fmt or a String method, so any input
+// difference changes the key. The per-run RNG is rebuilt from Seed, so
+// equal digests imply bit-identical results; that is what lets the
+// campaign engine key its disk store with it.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	return cacheKey(sc, proto, opt)
 }
@@ -43,20 +66,97 @@ func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	if opt.TraceStep <= 0 {
 		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "links|%s\n", sc.linkSig)
-	fmt.Fprintf(h, "name|%s\n", sc.Name)
-	fmt.Fprintf(h, "device|%+v\n", *sc.Device)
-	fmt.Fprintf(h, "paths|%v|%v|%v|%v\n", sc.WiFiRTT, sc.LTERTT, sc.Horizon, sc.AppPower)
-	if sc.CoreConfig != nil {
-		fmt.Fprintf(h, "core|%+v\n", *sc.CoreConfig)
-	}
-	if sc.EIBConfig != nil {
-		fmt.Fprintf(h, "eib|%+v\n", *sc.EIBConfig)
-	}
-	fmt.Fprintf(h, "work|%T|%+v\n", sc.Work, sc.Work)
-	fmt.Fprintf(h, "run|%d|%d|%t|%v\n", proto, opt.Seed, opt.Trace, opt.TraceStep)
-	var k runcache.Key
-	h.Sum(k[:0])
+	bp := keyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], keyVersion)
+	b = appendString(b, sc.linkSig)
+	b = appendString(b, sc.Name)
+	b = appendValue(b, reflect.ValueOf(sc.Device))
+	b = appendFloat(b, sc.WiFiRTT)
+	b = appendFloat(b, sc.LTERTT)
+	b = appendFloat(b, sc.Horizon)
+	b = appendFloat(b, float64(sc.AppPower))
+	b = appendValue(b, reflect.ValueOf(sc.CoreConfig))
+	b = appendValue(b, reflect.ValueOf(sc.EIBConfig))
+	b = appendDynamic(b, reflect.ValueOf(sc.Work))
+	b = appendWord(b, tagInt, uint64(proto))
+	b = appendWord(b, tagInt, uint64(opt.Seed))
+	b = appendBool(b, opt.Trace)
+	b = appendFloat(b, opt.TraceStep)
+	k := runcache.Key(sha256.Sum256(b))
+	*bp = b
+	keyBufs.Put(bp)
 	return k, true
+}
+
+// keyBufs recycles encoding buffers. The walk below is recursive, which
+// makes the compiler move even a local array buffer to the heap; pooling
+// keeps a key at zero allocations.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func appendWord(b []byte, tag byte, x uint64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, tag), x)
+}
+
+func appendFloat(b []byte, x float64) []byte { return appendWord(b, tagFloat, math.Float64bits(x)) }
+
+func appendBool(b []byte, x bool) []byte {
+	var bit byte
+	if x {
+		bit = 1
+	}
+	return append(b, tagBool, bit)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(appendWord(b, tagString, uint64(len(s))), s...)
+}
+
+// appendDynamic encodes the contents of an interface: nil, or the
+// concrete type's package path and name followed by the value.
+func appendDynamic(b []byte, v reflect.Value) []byte {
+	if !v.IsValid() {
+		return append(b, tagNil)
+	}
+	t := v.Type()
+	b = appendString(append(b, tagIface), t.PkgPath())
+	b = appendString(b, t.String())
+	return appendValue(b, v)
+}
+
+// appendValue walks v depth-first. It encodes the kinds the digested
+// types are made of; any other kind — a func, map, channel, slice or
+// nested interface — panics, so a digested type that grows one gets an
+// explicit encoding instead of silently dropping out of the key.
+func appendValue(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		return appendBool(b, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return appendWord(b, tagInt, uint64(v.Int()))
+	case reflect.Float32, reflect.Float64:
+		return appendFloat(b, v.Float())
+	case reflect.String:
+		return appendString(b, v.String())
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, tagNil)
+		}
+		return appendValue(append(b, tagPtr), v.Elem())
+	case reflect.Array:
+		n := v.Len()
+		b = appendWord(b, tagArray, uint64(n))
+		for i := 0; i < n; i++ {
+			b = appendValue(b, v.Index(i))
+		}
+		return b
+	case reflect.Struct:
+		n := v.NumField()
+		b = appendWord(b, tagStruct, uint64(n))
+		for i := 0; i < n; i++ {
+			b = appendValue(b, v.Field(i))
+		}
+		return b
+	default:
+		panic("scenario: cache key cannot encode a " + v.Kind().String() + " of type " + v.Type().String())
+	}
 }

@@ -1,29 +1,27 @@
 // Native reimplementation of math/rand's additive lagged-Fibonacci
-// generator, plus a bounded cache of seed→initial-state vectors.
+// generator, with a fast derivation of each seed's initial state.
 //
-// Why: a CPU profile of the hot benchmarks showed ~9% of run time inside
-// math/rand seeding — every Split re-derives a 607-word state vector with
-// three 20-iteration LCG draws per word. The simulator re-seeds
-// constantly (one child stream per subflow per run, hundreds of runs per
-// experiment), and because experiment repetitions reuse the same run
-// seeds, the same vectors are derived over and over. Reimplementing the
-// generator makes the state vector a plain value we can memoize and copy.
+// Why: the simulator re-seeds constantly — one child stream per subflow,
+// link process and workload per run, and a population campaign's seeds
+// never repeat — so deriving the 607-word state vector is a per-run fixed
+// cost. math/rand derives it with 1,841 dependent Park–Miller LCG steps,
+// each two integer divisions (Schrage's method). seedVec computes the same
+// LCG values with Mersenne shift-add reduction and precomputed jump
+// multipliers, so four independent chains advance at once.
 //
 // The stream must be bit-identical to math/rand's: every experiment
 // output in the repo is golden-tested against byte-exact expectations.
-// The generator below follows the same recurrence, seeding LCG, and
-// cooking constants as math/rand's rngSource; lfsource_test.go proves
-// equality exhaustively (first 10k draws across 1k seeds). The cooking
-// table itself is not copied from the standard library — it is recovered
-// algebraically at init from the output stream of rand.NewSource(1) (see
-// initCooked), which both avoids duplicating a 607-entry literal and
-// pins us to whatever table the linked math/rand actually uses.
+// The generator below follows the same recurrence, seeding LCG values,
+// and cooking constants as math/rand's rngSource; lfsource_test.go proves
+// equality exhaustively (first 10k draws across 1k seeds) and fuzzes it
+// over arbitrary seeds. The cooking table itself is not copied from the
+// standard library — it is recovered algebraically at init from the
+// output stream of rand.NewSource(1) (see initCooked), which both avoids
+// duplicating a 607-entry literal and pins us to whatever table the
+// linked math/rand actually uses.
 package simrng
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 const (
 	lfLen  = 607           // degree of the recurrence x_n = x_{n-273} + x_{n-607}
@@ -31,9 +29,14 @@ const (
 	lfMax  = 1 << 63       // Int63 modulus
 	lfMask = lfMax - 1     // Int63 mask
 	lfA    = 48271         // seeding LCG multiplier (Park–Miller)
-	lfM    = (1 << 31) - 1 // seeding LCG modulus (2^31-1, prime)
-	lfQ    = 44488         // lfM / lfA
-	lfR    = 3399          // lfM % lfA
+	lfM    = (1 << 31) - 1 // seeding LCG modulus (2^31-1, a Mersenne prime)
+
+	// Jump multipliers a^k mod M for the seeding LCG.
+	lfA2  = lfA * lfA % lfM
+	lfA3  = lfA2 * lfA % lfM
+	lfA6  = lfA3 * lfA3 % lfM
+	lfA12 = lfA6 * lfA6 % lfM
+	lfA21 = lfA12 * lfA6 % lfM * lfA3 % lfM
 )
 
 // lfCooked is the additive scrambling table XORed into the seeded state,
@@ -49,20 +52,30 @@ type lfSource struct {
 	vec  [lfLen]int64
 }
 
-// seedrand advances the Park–Miller LCG without overflowing int32
-// (Schrage's method), exactly as math/rand's seeding does.
-func seedrand(x int32) int32 {
-	hi := x / lfQ
-	lo := x % lfQ
-	x = lfA*lo - lfR*hi
-	if x < 0 {
-		x += lfM
+// mulModM returns x·c mod 2^31-1 for x, c < 2^31-1. The product is below
+// 2^62, and 2^31 ≡ 1 (mod 2^31-1), so its high and low 31-bit halves sum
+// to a value congruent to it and below 2(2^31-1): one conditional
+// subtraction finishes the reduction.
+func mulModM(x, c uint64) uint64 {
+	p := x * c
+	r := p&lfM + p>>31
+	if r >= lfM {
+		r -= lfM
 	}
-	return x
+	return r
 }
 
-// seedVec derives the initial state vector for seed, without consulting
-// the cache.
+// seedWord builds one state word from the LCG value w = x_{21+3i} and
+// its two successors, exactly as math/rand's seeding loop does.
+func seedWord(w, cooked uint64) int64 {
+	return int64(w<<40 ^ mulModM(w, lfA)<<20 ^ mulModM(w, lfA2) ^ cooked)
+}
+
+// seedVec derives the initial state vector for seed. math/rand steps the
+// LCG x_k = a^k·x_0 mod M twenty times, then builds word i from x_{21+3i},
+// x_{22+3i} and x_{23+3i}. Here word i's first value is reached directly:
+// word i sits on chain i mod 4, chain j starts at x_{21+3j} and steps by
+// a^12, so the four chains carry no dependency on one another.
 func seedVec(seed int64, vec *[lfLen]int64) {
 	seed = seed % lfM
 	if seed < 0 {
@@ -71,31 +84,32 @@ func seedVec(seed int64, vec *[lfLen]int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < lfLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			var u uint64
-			u = uint64(x) << 40
-			x = seedrand(x)
-			u ^= uint64(x) << 20
-			x = seedrand(x)
-			u ^= uint64(x)
-			u ^= lfCooked[i]
-			vec[i] = int64(u)
-		}
+	c0 := mulModM(uint64(seed), lfA21)
+	c1 := mulModM(c0, lfA3)
+	c2 := mulModM(c1, lfA3)
+	c3 := mulModM(c2, lfA3)
+	i := 0
+	for ; i < lfLen-3; i += 4 {
+		vec[i] = seedWord(c0, lfCooked[i])
+		vec[i+1] = seedWord(c1, lfCooked[i+1])
+		vec[i+2] = seedWord(c2, lfCooked[i+2])
+		vec[i+3] = seedWord(c3, lfCooked[i+3])
+		c0 = mulModM(c0, lfA12)
+		c1 = mulModM(c1, lfA12)
+		c2 = mulModM(c2, lfA12)
+		c3 = mulModM(c3, lfA12)
 	}
+	// lfLen = 4·151 + 3: three words remain, on chains 0–2.
+	vec[i] = seedWord(c0, lfCooked[i])
+	vec[i+1] = seedWord(c1, lfCooked[i+1])
+	vec[i+2] = seedWord(c2, lfCooked[i+2])
 }
 
-// Seed positions the generator at the start of the stream for seed,
-// copying the state vector from the cache when it has been derived
-// before. Repetition loops reuse run seeds heavily — each protocol
-// variant splits the same child seeds — so steady state is a hit plus a
-// 4.9 kB copy instead of ~36k LCG steps.
+// Seed positions the generator at the start of the stream for seed.
 func (s *lfSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = lfLen - lfTap
-	seedStates.load(seed, &s.vec)
+	seedVec(seed, &s.vec)
 }
 
 // Uint64 advances the recurrence one step.
@@ -123,61 +137,16 @@ func (s *lfSource) int31() int32 {
 	return int32(s.Int63() >> 32)
 }
 
-// seedStates caches derived state vectors, sharded 16 ways to keep
-// parallel runners off one lock. Each shard holds at most shardCap
-// vectors (16 shards × 64 × 4.9 kB ≈ 5 MB ceiling) and is cleared
-// wholesale when full — seeds recur within and across experiments, so
-// the working set re-fills almost immediately and eviction is rare.
-var seedStates seedCache
-
-const (
-	seedShards   = 16
-	seedShardCap = 64
-)
-
-type seedCache struct {
-	shards [seedShards]seedShard
-}
-
-type seedShard struct {
-	mu sync.Mutex
-	m  map[int64]*[lfLen]int64
-}
-
-func (c *seedCache) load(seed int64, dst *[lfLen]int64) {
-	sh := &c.shards[mix64(uint64(seed))&(seedShards-1)]
-	sh.mu.Lock()
-	if v, ok := sh.m[seed]; ok {
-		*dst = *v
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	// Derive outside the lock: ~36k LCG steps is long enough to stall
-	// sibling runners, and a racing duplicate derivation is harmless
-	// (both compute the same vector).
-	seedVec(seed, dst)
-	v := new([lfLen]int64)
-	*v = *dst
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[int64]*[lfLen]int64, seedShardCap)
-	} else if len(sh.m) >= seedShardCap {
-		clear(sh.m)
-	}
-	sh.m[seed] = v
-	sh.mu.Unlock()
-}
-
 // initCooked recovers math/rand's scrambling table from the output
 // stream of rand.NewSource(1).
 //
 // After Seed(1) the library's state vector is v[i] = int64(u_i ^ C[i]),
-// where u_i is the three-word seeding value (reproducible with seedrand)
-// and C the table we want. The first 607 outputs x_j of the generator
-// visit feed slots 333,332,…,0,606,…,334 and tap slots 606,…,273,272,…,0,
-// each exactly once, with every x_j the sum of one original v slot and
-// either another original slot or an earlier output:
+// where u_i is the three-value seeding word (what seedVec returns while
+// the table is still zero) and C the table we want. The first 607
+// outputs x_j of the generator visit feed slots 333,332,…,0,606,…,334
+// and tap slots 606,…,273,272,…,0, each exactly once, with every x_j the
+// sum of one original v slot and either another original slot or an
+// earlier output:
 //
 //	j ∈ [0,272]:    x_j = v[333-j] + v[606-j]   (both original)
 //	j ∈ [273,333]:  x_j = v[333-j] + x_{j-273}  → v[0..60]
@@ -203,19 +172,12 @@ func initCooked() {
 	for j := 0; j <= 272; j++ {
 		v[333-j] = x[j] - v[606-j]
 	}
-	// Replay the seeding LCG for seed 1 to strip u_i off each slot.
-	xs := int32(1)
-	for i := -20; i < lfLen; i++ {
-		xs = seedrand(xs)
-		if i >= 0 {
-			var u uint64
-			u = uint64(xs) << 40
-			xs = seedrand(xs)
-			u ^= uint64(xs) << 20
-			xs = seedrand(xs)
-			u ^= uint64(xs)
-			lfCooked[i] = uint64(v[i]) ^ u
-		}
+	// lfCooked is all zero until the loop below fills it, so this yields
+	// the bare seeding words u_i for seed 1.
+	var u [lfLen]int64
+	seedVec(1, &u)
+	for i := range lfCooked {
+		lfCooked[i] = uint64(v[i] ^ u[i])
 	}
 }
 

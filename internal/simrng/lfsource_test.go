@@ -1,6 +1,7 @@
 package simrng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,30 +103,31 @@ func TestSplitEquality(t *testing.T) {
 	}
 }
 
-// TestSeedCacheEviction fills one shard past capacity and checks the
-// cleared shard still serves correct vectors afterwards.
-func TestSeedCacheEviction(t *testing.T) {
-	// Hammer enough distinct seeds to overflow every shard several times.
-	for i := 0; i < seedShards*seedShardCap*4; i++ {
+// FuzzSeedMatchesStdlib checks the jump-chain seed derivation against
+// math/rand for arbitrary seeds: the first 1,000 draws must be equal.
+func FuzzSeedMatchesStdlib(f *testing.F) {
+	for _, seed := range []int64{0, 89482311, lfM, -lfM, math.MinInt64, math.MaxInt64} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		ref := rand.NewSource(seed).(rand.Source64)
 		var lf lfSource
-		lf.Seed(int64(i))
-	}
-	// Post-eviction correctness.
-	ref := rand.NewSource(12345).(rand.Source64)
-	var lf lfSource
-	lf.Seed(12345)
-	for i := 0; i < 100; i++ {
-		if got, want := lf.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("post-eviction draw %d: %#x != %#x", i, got, want)
+		lf.Seed(seed)
+		for i := 0; i < 1000; i++ {
+			if got, want := lf.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: got %#x want %#x", seed, i, got, want)
+			}
 		}
-	}
+	})
 }
 
-func BenchmarkSeedCached(b *testing.B) {
+// BenchmarkSeed derives a fresh state vector per iteration, as a
+// campaign's never-repeating seeds do. It must report 0 allocs/op.
+func BenchmarkSeed(b *testing.B) {
 	var lf lfSource
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lf.Seed(12345)
+		lf.Seed(int64(i))
 	}
 }
 
