@@ -4,7 +4,7 @@
 // Usage:
 //
 //	emptcpsim [-device s3|n5] [-seed N] [-quick] [-csv] [-j N]
-//	          [-cache=false] [-nofork] [-v] [-trace FILE] [-metrics FILE]
+//	          [-cache=false] [-v] [-trace FILE] [-metrics FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] [experiment ...]
 //	emptcpsim campaign [-cachedir DIR] [-j N] [-o FILE] [-v] (SPEC.json | - | wild)
 //	emptcpsim serve [-addr HOST:PORT] [-cachedir DIR] [-j N] [-token T] [-lease-ttl D]
@@ -26,12 +26,9 @@
 // Runs are memoized in a process-wide cache shared by all requested
 // experiments, so overlapping grids (shared baselines, repeated ablation
 // arms) simulate each distinct run once; output is byte-identical with
-// -cache=false. Sweep families additionally share their simulated prefix
-// through checkpoint/fork (see internal/scenario.RunSweep); -nofork
-// disables that and simulates every sweep point in full — output is
-// byte-identical either way. -v prints cache and fork statistics to
-// stderr after the run. -cpuprofile and -memprofile write pprof profiles
-// of the whole invocation for `go tool pprof`.
+// -cache=false. -v prints cache and lockstep statistics to stderr after
+// the run. -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation for `go tool pprof`.
 package main
 
 import (
@@ -91,9 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "write a JSONL trace-event timeline to FILE (single experiment only)")
 	metricsFile := fs.String("metrics", "", "write per-run JSON metrics to FILE (single experiment only)")
 	useCache := fs.Bool("cache", true, "memoize identical runs across experiments")
-	noFork := fs.Bool("nofork", false, "disable checkpoint/fork prefix sharing for sweeps (same output, slower)")
 	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
-	verbose := fs.Bool("v", false, "print cache, fork, and lockstep statistics to stderr")
+	verbose := fs.Bool("v", false, "print cache and lockstep statistics to stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to FILE")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to FILE on exit")
 	if err := fs.Parse(args); err != nil {
@@ -139,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	cfg := exp.Config{BaseSeed: *seed, Quick: *quickMode, Jobs: *jobs, NoFork: *noFork, NoLockstep: !*useLockstep}
+	cfg := exp.Config{BaseSeed: *seed, Quick: *quickMode, Jobs: *jobs, NoLockstep: !*useLockstep}
 	if *useCache {
 		cfg.Cache = scenario.NewRunCache()
 	}
@@ -237,10 +233,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		// Stats go to stderr so stdout stays byte-identical for goldens.
 		hits, misses, waits := cfg.Cache.FlightStats()
-		trees, forks := scenario.ForkStats()
 		lanes, peels := lockstep.Stats()
 		fmt.Fprintf(stderr, "runcache: %d hits, %d misses, %d single-flight waits\n", hits, misses, waits)
-		fmt.Fprintf(stderr, "sweep forks: %d trees, %d forked runs\n", trees, forks)
 		fmt.Fprintf(stderr, "lockstep: %d lane runs, %d peeled\n", lanes, peels)
 	}
 	return 0

@@ -19,11 +19,11 @@ import (
 // runWorker is `emptcpsim worker`: the pull side of distributed
 // campaign execution. It polls the coordinator named by -coordinator
 // for running campaigns, leases shards, executes them with the full
-// local stack (lockstep lanes, checkpoint fork, its own -cachedir), and
-// streams the shard aggregates back. Any number of workers may attach
-// to one coordinator at any time; joining, leaving, and crashing never
-// change the campaign's output bytes. Each worker needs its own
-// -cachedir — the run cache is single-process.
+// local stack (lockstep lanes, its own -cachedir), and streams the
+// shard aggregates back. Any number of workers may attach to one
+// coordinator at any time; joining, leaving, and crashing never change
+// the campaign's output bytes. Each worker needs its own -cachedir —
+// the run cache is single-process.
 func runWorker(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emptcpsim worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -71,9 +71,6 @@ type Progress struct {
 	// RemoteRuns counts runs folded by remote workers' shard
 	// completions (included in RunsDone).
 	RemoteRuns uint64 `json:"remote_runs"`
-	// ForkTrees/ForkRuns mirror scenario.ForkStats (process-wide).
-	ForkTrees int64 `json:"fork_trees"`
-	ForkRuns  int64 `json:"fork_runs"`
 	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide): how
 	// many replications executed as lockstep lanes and how many were
 	// peeled back to the scalar engine.
@@ -661,7 +658,6 @@ func (j *Job) deliver(s uint64, a *agg) {
 // Progress snapshots the job. The aggregate snapshot covers the merged
 // contiguous prefix, so its numbers are exact for the runs they count.
 func (j *Job) Progress() Progress {
-	trees, forkRuns := scenario.ForkStats()
 	laneRuns, lanePeels := lockstep.Stats()
 	done := j.runsDone.Load()
 	sim := j.exec.simulated.Load() + j.remoteSim.Load()
@@ -674,8 +670,6 @@ func (j *Job) Progress() Progress {
 		Simulated:  sim,
 		DiskHits:   j.exec.diskHits.Load() + j.remoteHits.Load(),
 		RemoteRuns: j.remoteRuns.Load(),
-		ForkTrees:  trees,
-		ForkRuns:   forkRuns,
 		LaneRuns:   laneRuns,
 		LanePeels:  lanePeels,
 		Leases:     &ls,

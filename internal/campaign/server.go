@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/lockstep"
 	"repro/internal/runcache"
-	"repro/internal/scenario"
 )
 
 // Server is the campaign control plane behind `emptcpsim serve`: an
@@ -418,12 +417,9 @@ type Statz struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CachePuts    uint64 `json:"cache_puts"`
 	CacheEntries int    `json:"cache_entries"`
-	// LaneRuns/LanePeels mirror lockstep.Stats; ForkTrees/ForkRuns
-	// mirror scenario.ForkStats. All process-wide counters.
+	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide counters).
 	LaneRuns  int64 `json:"lane_runs"`
 	LanePeels int64 `json:"lane_peels"`
-	ForkTrees int64 `json:"fork_trees"`
-	ForkRuns  int64 `json:"fork_runs"`
 	// Campaigns carries each campaign's execution counters and lease
 	// table snapshot (aggregates omitted — this is a stats endpoint).
 	Campaigns []Progress `json:"campaigns"`
@@ -432,7 +428,6 @@ type Statz struct {
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	gets, hits, puts := s.opts.Disk.DiskStats()
 	laneRuns, lanePeels := lockstep.Stats()
-	trees, forkRuns := scenario.ForkStats()
 	st := Statz{
 		CacheGets:    gets,
 		CacheHits:    hits,
@@ -440,8 +435,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		CacheEntries: s.opts.Disk.Len(),
 		LaneRuns:     laneRuns,
 		LanePeels:    lanePeels,
-		ForkTrees:    trees,
-		ForkRuns:     forkRuns,
 	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)

@@ -127,18 +127,9 @@ type Controller struct {
 	preds      [energy.NumInterfaces]*predictor
 	current    energy.PathSet
 	tauFired   bool
-	tauEv      sim.Event // pending τ escape timer, for ForceTauFired
 	started    float64
 	ticker     *sim.Ticker
 	hadBacklog bool // connection had outstanding data at the last tick
-
-	// Probe, when non-nil, receives one TickRecord per controller tick.
-	// Probing is observation-only: every value in the record is computed
-	// from pure reads (predictor forecasts, EIB lookups, idle windows), so
-	// a probed run executes bit-identically to an unprobed one. The
-	// sweep-fork executor uses the records to locate the first tick where
-	// a swept parameter would change the controller's decision.
-	Probe func(TickRecord)
 
 	// Switches counts path-set changes (for the hysteresis ablation).
 	Switches int
@@ -193,7 +184,7 @@ func New(eng *sim.Engine, cfg Config, table *eib.Table, conn *mptcp.Connection,
 	}
 	c.ticker = eng.Tick(delta, c.tick)
 	if cfg.Tau > 0 {
-		c.tauEv = eng.After(cfg.Tau, func() { c.tauFired = true })
+		eng.After(cfg.Tau, func() { c.tauFired = true })
 	} else {
 		c.tauFired = true
 	}
@@ -278,10 +269,8 @@ func (c *Controller) maybeEstablishLTE() {
 	if c.wifiSF != nil {
 		wifiBytes = c.wifiSF.BytesDelivered
 	}
-	// Neither κ bytes nor the τ timer yet: keep waiting. A probe still
-	// wants the full record, and everything below the gate is a pure read.
-	gate := wifiBytes >= c.cfg.Kappa || c.tauFired
-	if !gate && c.Probe == nil {
+	// Neither κ bytes nor the τ timer yet: keep waiting.
+	if wifiBytes < c.cfg.Kappa && !c.tauFired {
 		return
 	}
 	// Idle connections never trigger cellular establishment, even after
@@ -290,31 +279,16 @@ func (c *Controller) maybeEstablishLTE() {
 	if c.wifiSF != nil && c.wifiSF.SRTT() > idleWindow {
 		idleWindow = c.wifiSF.SRTT()
 	}
-	idle := c.conn.IdleFor(idleWindow)
+	if c.conn.IdleFor(idleWindow) {
+		return
+	}
 	// Even past κ, postpone while measured WiFi throughput is large
 	// enough that WiFi-only beats using both — unless a rate floor is
 	// configured and WiFi alone cannot hold it.
 	wifi := c.PredictedWiFi()
 	lte := c.PredictedLTE()
 	holdsFloor := c.cfg.MinRate <= 0 || wifi >= c.cfg.MinRate
-	wifiOnly := c.table.Best(wifi, lte) == energy.WiFiOnly
-	establish := gate && !idle && !(wifiOnly && holdsFloor)
-	if c.Probe != nil {
-		c.Probe(TickRecord{
-			At:          c.eng.Now(),
-			WiFiBytes:   wifiBytes,
-			TauFired:    c.tauFired,
-			Idle:        idle,
-			Wifi:        wifi,
-			LTE:         lte,
-			EIBWiFiOnly: wifiOnly,
-			HoldsFloor:  holdsFloor,
-			Established: establish,
-			Current:     c.current,
-			Backlog:     c.conn.Outstanding(),
-		})
-	}
-	if !establish {
+	if c.table.Best(wifi, lte) == energy.WiFiOnly && holdsFloor {
 		return
 	}
 	delay := c.radio.Activate(energy.LTE)
@@ -333,19 +307,6 @@ func (c *Controller) controlPathUsage() {
 	lte := c.PredictedLTE()
 	next := c.table.Decide(c.current, wifi, lte)
 	next = c.enforceMinRate(next, wifi, lte)
-	if c.Probe != nil {
-		c.Probe(TickRecord{
-			At:          c.eng.Now(),
-			TauFired:    c.tauFired,
-			Wifi:        wifi,
-			LTE:         lte,
-			Established: true,
-			Control:     true,
-			Current:     c.current,
-			Next:        next,
-			Backlog:     c.conn.Outstanding(),
-		})
-	}
 	if next == c.current {
 		return
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSelectPath pins the execution-path choice for every eligibility
-// combination, so an edit to lockstep/fork/cache eligibility rules cannot
+// combination, so an edit to lockstep/cache eligibility rules cannot
 // silently drop a replication group onto a slower path (or push an
 // ineligible one onto a fast path).
 func TestSelectPath(t *testing.T) {
@@ -24,30 +24,25 @@ func TestSelectPath(t *testing.T) {
 		sc    scenario.Scenario
 		proto scenario.Protocol
 		k     int
-		sweep bool
 		want  execPath
 	}{
-		{"replication k=5 eligible", Config{}, lab, scenario.MPTCP, 5, false, pathLockstep},
-		{"replication k=4 boundary", Config{}, lab, scenario.TCPWiFi, 4, false, pathLockstep},
-		{"replication k=3 too small", Config{}, lab, scenario.MPTCP, 3, false, pathScalar},
-		{"replication k=3 with cache", Config{Cache: cache}, lab, scenario.MPTCP, 3, false, pathCached},
-		{"NoLockstep escape hatch", Config{NoLockstep: true}, lab, scenario.MPTCP, 5, false, pathScalar},
-		{"NoLockstep with cache", Config{NoLockstep: true, Cache: cache}, lab, scenario.MPTCP, 5, false, pathCached},
-		{"tracing forces scalar", Config{Trace: &trace.Collector{}}, lab, scenario.MPTCP, 5, false, pathScalar},
-		{"emptcp not laned", Config{}, lab, scenario.EMPTCP, 5, false, pathScalar},
-		{"emptcp not laned, cached", Config{Cache: cache}, lab, scenario.EMPTCP, 5, false, pathCached},
+		{"replication k=5 eligible", Config{}, lab, scenario.MPTCP, 5, pathLockstep},
+		{"replication k=4 boundary", Config{}, lab, scenario.TCPWiFi, 4, pathLockstep},
+		{"replication k=3 too small", Config{}, lab, scenario.MPTCP, 3, pathScalar},
+		{"replication k=3 with cache", Config{Cache: cache}, lab, scenario.MPTCP, 3, pathCached},
+		{"NoLockstep escape hatch", Config{NoLockstep: true}, lab, scenario.MPTCP, 5, pathScalar},
+		{"NoLockstep with cache", Config{NoLockstep: true, Cache: cache}, lab, scenario.MPTCP, 5, pathCached},
+		{"tracing forces scalar", Config{Trace: &trace.Collector{}}, lab, scenario.MPTCP, 5, pathScalar},
+		{"emptcp not laned", Config{}, lab, scenario.EMPTCP, 5, pathScalar},
+		{"emptcp not laned, cached", Config{Cache: cache}, lab, scenario.EMPTCP, 5, pathCached},
 		{"streaming workload not laned", Config{}, scenario.StaticLab(energy.GalaxyS3(), 12, 4.5, workload.DefaultStreaming()),
-			scenario.MPTCP, 5, false, pathScalar},
-		{"sweep forks", Config{}, lab, scenario.EMPTCP, 5, true, pathFork},
-		{"sweep NoFork falls back", Config{NoFork: true, Cache: cache}, lab, scenario.EMPTCP, 5, true, pathCached},
-		{"sweep tracing forces scalar", Config{Trace: &trace.Collector{}}, lab, scenario.EMPTCP, 5, true, pathScalar},
-		{"sweep wrong proto no fork", Config{}, lab, scenario.MPTCP, 5, true, pathScalar},
+			scenario.MPTCP, 5, pathScalar},
 		// Mobility is statically inside the envelope (library scenario,
 		// bulk-style work) — lockstep accepts it and peels dynamically.
-		{"mobility lanes then peels", Config{}, mob, scenario.MPTCP, 5, false, pathLockstep},
+		{"mobility lanes then peels", Config{}, mob, scenario.MPTCP, 5, pathLockstep},
 	}
 	for _, c := range cases {
-		if got := selectPath(c.cfg, c.sc, c.proto, c.k, c.sweep); got != c.want {
+		if got := selectPath(c.cfg, c.sc, c.proto, c.k); got != c.want {
 			t.Errorf("%s: selectPath = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/forecast"
 	"repro/internal/link"
@@ -291,14 +292,14 @@ func runExtSweep(cfg Config) *Output {
 	tk := report.NewTable("κ sweep — 256 KB downloads over 4 Mbps WiFi / 4.5 Mbps LTE",
 		"κ", "LTE established (runs)", "Mean energy (J)")
 	kappas := []float64{64, 256, 1024, 4096}
-	kappaBytes := make([]units.ByteSize, len(kappas))
+	kPoints := make([]scenario.Scenario, len(kappas))
 	for i, k := range kappas {
-		kappaBytes[i] = units.ByteSize(k) * units.KB
+		cc := core.DefaultConfig()
+		cc.Kappa = units.ByteSize(k) * units.KB
+		kPoints[i] = scenario.StaticLab(cfg.device(), 4, 4.5, workload.FileDownload{Size: 256 * units.KB})
+		kPoints[i].CoreConfig = &cc
 	}
-	kBase, kPoints := scenario.KappaSweep(
-		scenario.StaticLab(cfg.device(), 4, 4.5, workload.FileDownload{Size: 256 * units.KB}),
-		kappaBytes)
-	kRuns := sweepRuns(cfg, runs, kBase, kPoints)
+	kRuns := sweepRuns(cfg, runs, kPoints)
 	for ki, kappaKB := range kappas {
 		lteRuns := 0
 		var es []float64
@@ -319,10 +320,14 @@ func runExtSweep(cfg Config) *Output {
 	tt := report.NewTable("τ sweep — 8 MB downloads over 0.5 Mbps WiFi / 4.5 Mbps LTE",
 		"τ (s)", "Mean completion (s)", "Mean energy (J)")
 	taus := []float64{1, 3, 6, 12}
-	tBase, tPoints := scenario.TauSweep(
-		scenario.StaticLab(cfg.device(), 0.5, 4.5, workload.FileDownload{Size: 8 * units.MB}),
-		taus)
-	tRuns := sweepRuns(cfg, runs, tBase, tPoints)
+	tPoints := make([]scenario.Scenario, len(taus))
+	for i, tau := range taus {
+		cc := core.DefaultConfig()
+		cc.Tau = tau
+		tPoints[i] = scenario.StaticLab(cfg.device(), 0.5, 4.5, workload.FileDownload{Size: 8 * units.MB})
+		tPoints[i].CoreConfig = &cc
+	}
+	tRuns := sweepRuns(cfg, runs, tPoints)
 	for ti, tau := range taus {
 		var ts, es []float64
 		for _, r := range tRuns[ti*runs : (ti+1)*runs] {

@@ -102,19 +102,6 @@ func (hw *HoltWinters) N() int { return hw.n }
 // Reset discards all state.
 func (hw *HoltWinters) Reset() { hw.level, hw.trend, hw.n = 0, 0, 0 }
 
-// State returns the raw (level, trend, n) triple — the predictor's
-// complete mutable state, which the checkpoint/fork machinery saves and
-// reinstates through SetState. Unlike Level and Trend it does not map the
-// unobserved state to NaN, so a round-trip is exact.
-func (hw *HoltWinters) State() (level, trend float64, n int) {
-	return hw.level, hw.trend, hw.n
-}
-
-// SetState reinstates a triple previously read through State.
-func (hw *HoltWinters) SetState(level, trend float64, n int) {
-	hw.level, hw.trend, hw.n = level, trend, n
-}
-
 // Seed primes the predictor with a prior value as if one observation had
 // been made. eMPTCP uses this for never-activated interfaces, which are
 // assumed to have non-zero throughput (e.g. 5 Mbps) so the path gets

@@ -204,8 +204,10 @@ func TestMPTCPSteadyStateAllocs(t *testing.T) {
 	}
 	run() // warm the pool and grow every arena
 	// The MPResult.Subflows slice is the one unavoidable per-run
-	// allocation of the public API (the caller keeps it).
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
+	// allocation of the public API (the caller keeps it). Under -race the
+	// connection pool drops Puts at random, so only a non-race build can
+	// count allocations.
+	if allocs := testing.AllocsPerRun(10, run); !raceEnabled && allocs > 2 {
 		t.Errorf("steady-state RunMPTCP allocates %.0f times per run, want ≤ 2", allocs)
 	}
 }

@@ -149,8 +149,8 @@ type sender struct {
 	acked         bitring // segments delivered and acknowledged
 	rtx           bitring // holes already retransmitted this recovery
 	inFlightCount int
-	flightLo      int // no set inFlight bit lives below this (≤ highestAck)
-	staleFlight   int // set inFlight bits below highestAck
+	flightLo      int     // no set inFlight bit lives below this (≤ highestAck)
+	staleFlight   int     // set inFlight bits below highestAck
 	dseq          []int32 // subflow seq → connection seq (MPTCP only); same mask as the rings
 
 	// The pipe: pending ACKs of accepted segments, in arrival order (the

@@ -195,7 +195,9 @@ func TestPacketKernelSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm the pool and grow every arena
-	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+	// Under -race the flow pool drops Puts at random; the runs still
+	// execute there, but only a non-race build can count allocations.
+	if allocs := testing.AllocsPerRun(10, run); !raceEnabled && allocs > 0 {
 		t.Errorf("steady-state Run allocates %.0f times per run, want 0", allocs)
 	}
 }

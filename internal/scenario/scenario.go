@@ -206,8 +206,6 @@ type run struct {
 	meterLastUp [energy.NumInterfaces]units.ByteSize
 	lteTouched  bool
 
-	probe func(core.TickRecord)
-
 	conns     []*mptcp.Connection
 	ctls      []*core.Controller
 	mdpPol    *baseline.MDPPolicy
@@ -261,18 +259,6 @@ func runPooled(sc Scenario, proto Protocol, opt Opts) Result {
 
 // runOne executes one run on this state's reused allocations.
 func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
-	r := st.launch(sc, proto, opt, nil)
-	r.eng.Run()
-	return r.collect()
-}
-
-// launch assembles a run up to (but not including) driving the engine:
-// links, paths, the protocol wiring, the power-monitor ticker, and the
-// workload are all in place, with the horizon set, so the caller can run
-// the engine in stages (the fork executor pauses at divergence barriers).
-// probe, when non-nil, is attached to every eMPTCP controller the run
-// creates; probed execution is bit-identical to unprobed.
-func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(core.TickRecord)) *run {
 	if sc.Device == nil || sc.WiFi == nil || sc.LTE == nil || sc.Work == nil {
 		panic("scenario: incomplete scenario")
 	}
@@ -280,7 +266,6 @@ func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(cor
 		opt.TraceStep = 1
 	}
 	r := st.reset(sc, proto, opt)
-	r.probe = probe
 	r.acct.SetExtraBase(sc.AppPower)
 	r.acct.SetSessionActive(true)
 	if opt.Recorder != nil {
@@ -320,7 +305,9 @@ func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(cor
 		horizon = defaultHorizon
 	}
 	r.eng.Horizon = horizon
-	return r
+	r.eng.Run()
+
+	return r.collect()
 }
 
 // flushMeter advances the accountant to now with the throughput observed
@@ -472,7 +459,6 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 				return conn.AddSubflow("lte", energy.LTE, r.ltePath, &lteCfg, extraDelay)
 			})
 		ctl.Record = r.opt.Trace
-		ctl.Probe = r.probe
 		r.ctls = append(r.ctls, ctl)
 
 	case WiFiFirst:

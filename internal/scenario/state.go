@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/simrng"
@@ -34,10 +33,6 @@ type RunState struct {
 
 	energyScratch stats.TimeSeries
 	thrScratch    [energy.NumInterfaces]stats.TimeSeries
-
-	// tickRecs is the fork executor's probe scratch: the base run's
-	// controller tick records, reused across sweep trees.
-	tickRecs []core.TickRecord
 }
 
 // statePool is a pointer so the leak-regression tests can swap in a

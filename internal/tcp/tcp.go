@@ -216,7 +216,7 @@ type Subflow struct {
 	estFn     func()        // pre-bound handshake completion
 	kickFn    func()        // pre-bound Kick for deferred wakeups
 	roundFree []*roundState // free-listed round records
-	roundAll  []*roundState // every record ever created, for checkpointing
+	roundAll  []*roundState // every record ever created, reclaimed at re-init
 }
 
 // roundState carries one in-flight round's values to its pre-bound
@@ -285,8 +285,8 @@ func initSubflow(sf *Subflow, id string, eng *sim.Engine, src *simrng.Source, pa
 	// No round is in flight at (re)init, so every registered record is
 	// free. Rebuilding the free list here reclaims records whose end event
 	// never fired because the previous run completed first — otherwise a
-	// recycled slot leaks one record per run and the registry (which
-	// checkpointing walks) grows without bound.
+	// recycled slot leaks one record per run and the registry grows
+	// without bound.
 	sf.roundFree = append(sf.roundFree[:0], sf.roundAll...)
 }
 
