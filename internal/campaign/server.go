@@ -173,7 +173,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // from whatever the previous attempt persisted. A submission whose
 // 64-bit ID matches an existing campaign but whose normalised spec
 // differs is a digest collision — rejected with 422 rather than
-// silently coalescing two different campaigns into one result.
+// silently coalescing two different campaigns into one result. A job
+// is registered only once the queue has taken it, so a 503 for a full
+// queue leaves nothing behind.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(r.Body)
@@ -207,11 +209,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, prev.Progress())
 			return
 		}
-		// Replace the dead attempt; its simulated prefix is on disk.
-	} else {
-		s.order = append(s.order, job.ID())
 	}
-	s.byID[job.ID()] = job
 	select {
 	case s.queue <- job:
 	default:
@@ -219,6 +217,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("campaign: queue full"))
 		return
 	}
+	if _, ok := s.byID[job.ID()]; !ok {
+		s.order = append(s.order, job.ID())
+	}
+	// A failed or cancelled attempt is replaced; its simulated prefix
+	// is on disk.
+	s.byID[job.ID()] = job
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, job.Progress())
 }

@@ -301,6 +301,36 @@ func TestServerResultConflict(t *testing.T) {
 	}
 }
 
+// TestServerQueueFullLeavesNoJob submits to a server whose queue takes
+// nothing (unbuffered, no dispatcher). The 503 must leave no trace: no
+// status, no listing, and a resubmit is refused the same way instead of
+// being answered with a job that will never run.
+func TestServerQueueFullLeavesNoJob(t *testing.T) {
+	srv := &Server{byID: make(map[string]*Job), queue: make(chan *Job)}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := smallSpec()
+	job, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := postSpec(t, ts, spec); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit to a full queue: %d, want 503", code)
+	}
+	if code, b := getBody(t, ts.URL+"/campaigns/"+job.ID()); code != http.StatusNotFound {
+		t.Errorf("status of the refused campaign: %d, want 404\n%s", code, b)
+	}
+	code, b := getBody(t, ts.URL+"/campaigns")
+	var list []Progress
+	if err := json.Unmarshal(b, &list); code != http.StatusOK || err != nil || len(list) != 0 {
+		t.Errorf("listing after a refused submit: %d %v\n%s", code, err, b)
+	}
+	if code, _ := postSpec(t, ts, spec); code != http.StatusServiceUnavailable {
+		t.Errorf("resubmit to a full queue: %d, want 503", code)
+	}
+}
+
 func TestServerClosedRejectsSubmit(t *testing.T) {
 	srv := NewServer(nil, 1)
 	ts := httptest.NewServer(srv.Handler())

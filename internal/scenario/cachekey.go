@@ -23,7 +23,7 @@ func NewRunCache() *RunCache { return runcache.New[Result]() }
 // persisted under them by runcache.Store — from the old layout miss
 // instead of replaying under a new meaning. TestCacheKeyGolden pins one
 // key to force the bump.
-const keyVersion = 1
+const keyVersion = 2
 
 // Tags of the key encoding: one before every leaf and every composite.
 const (
@@ -49,7 +49,7 @@ const (
 // The digest is the SHA-256 of one canonical binary encoding: a version
 // byte, then every input as a tagged leaf — floats by their IEEE bits,
 // strings length-prefixed — from a reflective walk of the device
-// profile, controller and EIB overrides and the workload, which also
+// profile, the controller override and the workload, which also
 // records the workload's concrete type and whether each pointer is nil.
 // No leaf is rendered through fmt or a String method, so any input
 // difference changes the key. The per-run RNG is rebuilt from Seed, so
@@ -76,7 +76,6 @@ func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	b = appendFloat(b, sc.Horizon)
 	b = appendFloat(b, float64(sc.AppPower))
 	b = appendValue(b, reflect.ValueOf(sc.CoreConfig))
-	b = appendValue(b, reflect.ValueOf(sc.EIBConfig))
 	b = appendDynamic(b, reflect.ValueOf(sc.Work))
 	b = appendWord(b, tagInt, uint64(proto))
 	b = appendWord(b, tagInt, uint64(opt.Seed))

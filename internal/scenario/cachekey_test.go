@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eib"
 	"repro/internal/energy"
 	"repro/internal/runcache"
 	"repro/internal/units"
@@ -57,8 +56,7 @@ func TestCacheKeyExact(t *testing.T) {
 func keyBase(w workload.Workload) (Scenario, Opts) {
 	sc := StaticLab(energy.GalaxyS3(), 6, 4.5, w)
 	cc := core.DefaultConfig()
-	ec := eib.DefaultConfig()
-	sc.CoreConfig, sc.EIBConfig = &cc, &ec
+	sc.CoreConfig = &cc
 	sc.Horizon = 300
 	sc.AppPower = units.MilliwattPower(250)
 	return sc, Opts{Seed: 7, Trace: true, TraceStep: 0.5}
@@ -138,7 +136,6 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 	}{
 		{"device", func(sc *Scenario) reflect.Value { return reflect.ValueOf(sc.Device).Elem() }},
 		{"core", func(sc *Scenario) reflect.Value { return reflect.ValueOf(sc.CoreConfig).Elem() }},
-		{"eib", func(sc *Scenario) reflect.Value { return reflect.ValueOf(sc.EIBConfig).Elem() }},
 		{"work", func(sc *Scenario) reflect.Value {
 			w := reflect.New(reflect.TypeOf(sc.Work)).Elem()
 			w.Set(reflect.ValueOf(sc.Work))
@@ -177,7 +174,6 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 		"Horizon":   func(sc *Scenario, _ *Opts) { sc.Horizon = math.Nextafter(sc.Horizon, 1e9) },
 		"AppPower":  func(sc *Scenario, _ *Opts) { sc.AppPower = units.Power(math.Nextafter(float64(sc.AppPower), 1e9)) },
 		"nil core":  func(sc *Scenario, _ *Opts) { sc.CoreConfig = nil },
-		"nil eib":   func(sc *Scenario, _ *Opts) { sc.EIBConfig = nil },
 		"Seed":      func(_ *Scenario, opt *Opts) { opt.Seed++ },
 		"Trace":     func(_ *Scenario, opt *Opts) { opt.Trace = !opt.Trace },
 		"TraceStep": func(_ *Scenario, opt *Opts) { opt.TraceStep = math.Nextafter(opt.TraceStep, 1) },
@@ -202,7 +198,7 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 func TestCacheKeyCoversEveryField(t *testing.T) {
 	known := map[reflect.Type][]string{
 		reflect.TypeOf(Scenario{}): {"Name", "Device", "WiFi", "LTE", "WiFiRTT", "LTERTT", "Work",
-			"Horizon", "CoreConfig", "EIBConfig", "AppPower", "linkSig"},
+			"Horizon", "CoreConfig", "AppPower", "linkSig"},
 		reflect.TypeOf(Opts{}): {"Seed", "Trace", "TraceStep", "Recorder", "Cache"},
 	}
 	for typ, fields := range known {
@@ -224,7 +220,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	sc := StaticLab(energy.GalaxyS3(), 6, 4.5, workload.FileDownload{Size: 16 * units.MB})
 	k := mustKey(t, sc, MPTCP, Opts{Seed: 1})
-	const want = "74f1ba8fd89908b5968ca7a5bec9f371467eceb758803eef38dbd735e7c6b575"
+	const want = "b9d267031091d613fd869d03f106d364ba39afd289423238cceb53b872ffee2e"
 	if got := hex.EncodeToString(k[:]); got != want {
 		t.Errorf("reference key = %s, want %s", got, want)
 	}

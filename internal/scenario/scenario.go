@@ -103,10 +103,6 @@ type Scenario struct {
 	// (κ, τ, predictor smoothing, the MinRate extension). Nil uses the
 	// paper's defaults.
 	CoreConfig *core.Config
-	// EIBConfig, when non-nil, overrides the energy-information-base
-	// generation parameters (grid, hysteresis safety factor). The Uplink
-	// direction is still forced per connection. Nil uses eib.DefaultConfig.
-	EIBConfig *eib.Config
 	// AppPower is a constant application power draw (browser rendering,
 	// video decode) charged while the session is active — the component
 	// the paper's §5.4 web measurements include. Zero by default.
@@ -443,9 +439,6 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 		// Upload connections decide from the uplink table: cellular
 		// transmit power shifts every threshold.
 		eibCfg := eib.DefaultConfig()
-		if r.sc.EIBConfig != nil {
-			eibCfg = *r.sc.EIBConfig
-		}
 		eibCfg.Uplink = uplink
 		table := eib.GenerateCached(r.sc.Device, eibCfg)
 		lteCfg := tcp.DefaultConfig()

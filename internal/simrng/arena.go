@@ -10,9 +10,12 @@ import "math/rand"
 // every child it splits, so a pooled run re-seeds recycled generators
 // instead of allocating fresh ones.
 //
-// Reusing a slot only re-seeds the lagged-Fibonacci state; the embedded
-// rand.Rand already wraps the slot's own generator and is stateless beyond
-// it, so a recycled Source's streams are bit-identical to a fresh one's.
+// Reusing a slot only re-seeds the lagged-Fibonacci state, in constant
+// time: each state word is derived when the new stream first reads it, so
+// the previous run's words are overwritten before they are read (see
+// lfsource.go). The embedded rand.Rand already wraps the slot's own
+// generator and is stateless beyond it, so a recycled Source's streams
+// are bit-identical to a fresh one's.
 //
 // An Arena is single-run-at-a-time: Reset hands out the same Sources
 // again, so it must only be called once nothing from the previous run will

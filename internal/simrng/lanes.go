@@ -37,8 +37,10 @@ func (b *LaneSources) Resize(n int) {
 // Len returns the number of lane states.
 func (b *LaneSources) Len() int { return len(b.states) }
 
-// Seed positions lane i at the start of the stream for seed, deriving
-// the state vector exactly as Source seeding does.
+// Seed positions lane i at the start of the stream for seed exactly as
+// Source seeding does: in constant time, with the lane's state words
+// derived as it draws. A lane that drew under an earlier seed can be
+// re-seeded; none of its stale words is ever read.
 func (b *LaneSources) Seed(i int, seed int64) { b.states[i].Seed(seed) }
 
 // Uint64 advances lane i one step.

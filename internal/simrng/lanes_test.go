@@ -4,10 +4,16 @@ import "testing"
 
 // TestLaneSourcesStreamEquality proves every lane of a bank reproduces
 // the exact draw sequence of an independent Source with the same seed,
-// including under interleaved cross-lane draws and Split derivation.
+// including under interleaved cross-lane draws and Split derivation. The
+// last lane is re-seeded after 400 draws of another seed, as a lane
+// re-armed for the next batch is, so a stale word would show there.
 func TestLaneSourcesStreamEquality(t *testing.T) {
-	const lanes = 7
+	const lanes = 8
 	b := NewLaneSources(lanes)
+	b.Seed(lanes-1, 99)
+	for j := 0; j < 400; j++ {
+		b.Uint64(lanes - 1)
+	}
 	refs := make([]*Source, lanes)
 	for i := 0; i < lanes; i++ {
 		seed := int64(1000*i + 17)

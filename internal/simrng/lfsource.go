@@ -1,24 +1,28 @@
 // Native reimplementation of math/rand's additive lagged-Fibonacci
-// generator, with a fast derivation of each seed's initial state.
+// generator, with each seed's initial state derived on demand.
 //
 // Why: the simulator re-seeds constantly — one child stream per subflow,
 // link process and workload per run, and a population campaign's seeds
-// never repeat — so deriving the 607-word state vector is a per-run fixed
-// cost. math/rand derives it with 1,841 dependent Park–Miller LCG steps,
-// each two integer divisions (Schrage's method). seedVec computes the same
-// LCG values with Mersenne shift-add reduction and precomputed jump
-// multipliers, so four independent chains advance at once.
+// never repeat — so seeding is a per-run fixed cost. math/rand derives
+// all 607 state words up front, with 1,841 dependent Park–Miller LCG
+// steps of two integer divisions each (Schrage's method), yet most
+// streams here read few of them: the first k < 273 draws read only words
+// 334−k…333 and 607−k…606, and many streams draw once or not at all. So
+// Seed derives nothing. Uint64 derives each word the first time the
+// recurrence reads it, a chunk at a time: word i needs only the LCG value
+// x_{21+3i} = a^(21+3i)·x_0 mod 2^31−1, one multiply by a precomputed jump
+// multiplier with Mersenne shift-add reduction.
 //
 // The stream must be bit-identical to math/rand's: every experiment
 // output in the repo is golden-tested against byte-exact expectations.
 // The generator below follows the same recurrence, seeding LCG values,
 // and cooking constants as math/rand's rngSource; lfsource_test.go proves
 // equality exhaustively (first 10k draws across 1k seeds) and fuzzes it
-// over arbitrary seeds. The cooking table itself is not copied from the
-// standard library — it is recovered algebraically at init from the
-// output stream of rand.NewSource(1) (see initCooked), which both avoids
-// duplicating a 607-entry literal and pins us to whatever table the
-// linked math/rand actually uses.
+// over arbitrary seeds and re-seeded states. The cooking table itself is
+// not copied from the standard library — it is recovered algebraically
+// at init from the output stream of rand.NewSource(1) (see initCooked),
+// which both avoids duplicating a 607-entry literal and pins us to
+// whatever table the linked math/rand actually uses.
 package simrng
 
 import "math/rand"
@@ -26,30 +30,43 @@ import "math/rand"
 const (
 	lfLen  = 607           // degree of the recurrence x_n = x_{n-273} + x_{n-607}
 	lfTap  = 273           // distance to the second term
+	lfFeed = lfLen - lfTap // the feed cursor's start; words below it are the feed's region
 	lfMax  = 1 << 63       // Int63 modulus
 	lfMask = lfMax - 1     // Int63 mask
 	lfA    = 48271         // seeding LCG multiplier (Park–Miller)
 	lfM    = (1 << 31) - 1 // seeding LCG modulus (2^31-1, a Mersenne prime)
+	lfA2   = lfA * lfA % lfM
 
-	// Jump multipliers a^k mod M for the seeding LCG.
-	lfA2  = lfA * lfA % lfM
-	lfA3  = lfA2 * lfA % lfM
-	lfA6  = lfA3 * lfA3 % lfM
-	lfA12 = lfA6 * lfA6 % lfM
-	lfA21 = lfA12 * lfA6 % lfM * lfA3 % lfM
+	// lfChunk is how many words one slow-path call derives below a
+	// cursor. Smaller chunks derive fewer unread words, larger ones take
+	// the slow path less often; 8 was fastest on a campaign's measured
+	// mix of draws per stream (DESIGN.md §4.10).
+	lfChunk = 8
 )
 
-// lfCooked is the additive scrambling table XORed into the seeded state,
-// recovered from math/rand at package init.
-var lfCooked [lfLen]uint64
+var (
+	// lfCooked is the additive scrambling table XORed into the seeded
+	// state, recovered from math/rand at package init.
+	lfCooked [lfLen]uint64
+	// lfJump[i] is a^(21+3i) mod M: it takes x_0 to word i's first LCG
+	// value in one step.
+	lfJump [lfLen]uint64
+)
 
 // lfSource is the generator state. It implements rand.Source64, so a
 // rand.Rand wrapped around it reproduces every math/rand distribution
 // (including the ziggurat ExpFloat64/NormFloat64) bit-for-bit.
+//
+// The tap and feed cursors count down through vec as in math/rand, and
+// each derives its own region as it goes: the tap [lfFeed, lfLen), the
+// feed [0, lfFeed). A region holds seeded or later recurrence values
+// from its cursor's bound up; the words below may be stale ones from an
+// earlier seed. A bound drops to 0 once its region is done.
 type lfSource struct {
-	tap  int
-	feed int
-	vec  [lfLen]int64
+	tap, feed     int
+	tapLo, feedLo int
+	x0            uint64 // the reduced seed: the seeding LCG's x_0
+	vec           [lfLen]int64
 }
 
 // mulModM returns x·c mod 2^31-1 for x, c < 2^31-1. The product is below
@@ -71,60 +88,81 @@ func seedWord(w, cooked uint64) int64 {
 	return int64(w<<40 ^ mulModM(w, lfA)<<20 ^ mulModM(w, lfA2) ^ cooked)
 }
 
-// seedVec derives the initial state vector for seed. math/rand steps the
-// LCG x_k = a^k·x_0 mod M twenty times, then builds word i from x_{21+3i},
-// x_{22+3i} and x_{23+3i}. Here word i's first value is reached directly:
-// word i sits on chain i mod 4, chain j starts at x_{21+3j} and steps by
-// a^12, so the four chains carry no dependency on one another.
-func seedVec(seed int64, vec *[lfLen]int64) {
-	seed = seed % lfM
+// Seed positions the generator at the start of the stream for seed in
+// constant time: it reduces the seed as math/rand does and resets the
+// cursors and their bounds, deriving no state word. A state that has
+// drawn before may be re-seeded; its stale words are overwritten before
+// they are read. The tap starts at lfLen, not 0: its first step lands on
+// word 606 either way.
+func (s *lfSource) Seed(seed int64) {
+	seed %= lfM
 	if seed < 0 {
 		seed += lfM
 	}
 	if seed == 0 {
 		seed = 89482311
 	}
-	c0 := mulModM(uint64(seed), lfA21)
-	c1 := mulModM(c0, lfA3)
-	c2 := mulModM(c1, lfA3)
-	c3 := mulModM(c2, lfA3)
-	i := 0
-	for ; i < lfLen-3; i += 4 {
-		vec[i] = seedWord(c0, lfCooked[i])
-		vec[i+1] = seedWord(c1, lfCooked[i+1])
-		vec[i+2] = seedWord(c2, lfCooked[i+2])
-		vec[i+3] = seedWord(c3, lfCooked[i+3])
-		c0 = mulModM(c0, lfA12)
-		c1 = mulModM(c1, lfA12)
-		c2 = mulModM(c2, lfA12)
-		c3 = mulModM(c3, lfA12)
-	}
-	// lfLen = 4·151 + 3: three words remain, on chains 0–2.
-	vec[i] = seedWord(c0, lfCooked[i])
-	vec[i+1] = seedWord(c1, lfCooked[i+1])
-	vec[i+2] = seedWord(c2, lfCooked[i+2])
+	s.x0 = uint64(seed)
+	s.tap, s.tapLo = lfLen, lfLen
+	s.feed, s.feedLo = lfFeed, lfFeed
 }
 
-// Seed positions the generator at the start of the stream for seed.
-func (s *lfSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = lfLen - lfTap
-	seedVec(seed, &s.vec)
-}
-
-// Uint64 advances the recurrence one step.
+// Uint64 advances the recurrence one step. Each cursor is compared with
+// its bound instead of with 0; refill, off the fast path, wraps a cursor
+// that passed 0 or derives the chunk below it.
 func (s *lfSource) Uint64() uint64 {
 	s.tap--
-	if s.tap < 0 {
-		s.tap += lfLen
-	}
 	s.feed--
-	if s.feed < 0 {
-		s.feed += lfLen
+	if s.tap < s.tapLo || s.feed < s.feedLo {
+		s.refill()
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// refill is Uint64's slow path.
+//
+// Draw j < 607 after Seed reads tap word 606−j, and feed word 333−j up to
+// draw 333, then 940−j. So in draws 0–272 the tap walks the upper region
+// [334, 607) and in draws 0–333 the feed walks the lower region [0, 334),
+// each deriving the chunk below it. Neither cursor reads an underived
+// word of the other's region: the tap enters the lower region at draw
+// 273, on the word the feed visited at draw 0, and stays 273 draws
+// behind it; the feed reaches word 606 at draw 334, after the tap has
+// derived the whole upper region. A chunk holds only words no cursor has
+// visited since Seed, so deriving never overwrites an advanced word, and
+// every stale word is overwritten before it is read.
+func (s *lfSource) refill() {
+	s.tap, s.tapLo = s.advance(s.tap, s.tapLo, lfFeed)
+	s.feed, s.feedLo = s.advance(s.feed, s.feedLo, 0)
+}
+
+// advance returns cursor c and its bound lo once c is at or above lo.
+// Its region reaches down to floor: advance derives the next chunk of
+// it, or drops the bound to 0 once the region is done (the feed derived
+// everything below the tap's), or wraps c once it passed 0 (the whole
+// vector is derived by then).
+func (s *lfSource) advance(c, lo, floor int) (int, int) {
+	switch {
+	case c >= lo: // the other cursor took the slow path
+	case c < 0:
+		c += lfLen
+	case lo <= floor:
+		lo = 0
+	default:
+		n := max(lo-lfChunk, floor)
+		s.derive(n, lo)
+		lo = n
+	}
+	return c, lo
+}
+
+// derive fills words [lo, hi) with their seeded values.
+func (s *lfSource) derive(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s.vec[i] = seedWord(mulModM(s.x0, lfJump[i]), lfCooked[i])
+	}
 }
 
 // Int63 returns a non-negative 63-bit value from the stream.
@@ -141,7 +179,7 @@ func (s *lfSource) int31() int32 {
 // stream of rand.NewSource(1).
 //
 // After Seed(1) the library's state vector is v[i] = int64(u_i ^ C[i]),
-// where u_i is the three-value seeding word (what seedVec returns while
+// where u_i is the three-value seeding word (what derive writes while
 // the table is still zero) and C the table we want. The first 607
 // outputs x_j of the generator visit feed slots 333,332,…,0,606,…,334
 // and tap slots 606,…,273,272,…,0, each exactly once, with every x_j the
@@ -174,13 +212,25 @@ func initCooked() {
 	}
 	// lfCooked is all zero until the loop below fills it, so this yields
 	// the bare seeding words u_i for seed 1.
-	var u [lfLen]int64
-	seedVec(1, &u)
+	var u lfSource
+	u.Seed(1)
+	u.derive(0, lfLen)
 	for i := range lfCooked {
-		lfCooked[i] = uint64(v[i] ^ u[i])
+		lfCooked[i] = uint64(v[i] ^ u.vec[i])
 	}
 }
 
 func init() {
+	// math/rand steps the LCG twenty times before word 0's first value,
+	// x_21, and each word takes three values.
+	x := uint64(1)
+	for range 21 {
+		x = mulModM(x, lfA)
+	}
+	a3 := mulModM(lfA2, lfA)
+	for i := range lfJump {
+		lfJump[i] = x
+		x = mulModM(x, a3)
+	}
 	initCooked()
 }

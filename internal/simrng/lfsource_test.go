@@ -3,6 +3,7 @@ package simrng
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -103,31 +104,58 @@ func TestSplitEquality(t *testing.T) {
 	}
 }
 
-// FuzzSeedMatchesStdlib checks the jump-chain seed derivation against
-// math/rand for arbitrary seeds: the first 1,000 draws must be equal.
+// FuzzSeedMatchesStdlib checks the on-demand seed derivation against
+// math/rand for arbitrary seeds, on a state that already drew prevDraws
+// values from prevSeed: the first 1,000 draws after re-seeding with seed
+// must equal rand.NewSource(seed)'s. Pooled Sources and lockstep lanes
+// re-seed used states, whose stale words must never be read. The corpus
+// puts prevDraws at the chunk edges, at the draws where the tap leaves
+// its region (272/273) and the feed wraps (333/334), at a full lap
+// (606/607) and beyond it.
 func FuzzSeedMatchesStdlib(f *testing.F) {
 	for _, seed := range []int64{0, 89482311, lfM, -lfM, math.MinInt64, math.MaxInt64} {
-		f.Add(seed)
+		f.Add(int64(0), uint16(0), seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		ref := rand.NewSource(seed).(rand.Source64)
+	prev := []int{272, 273, 333, 334, 606, 607, 608, 1500}
+	for n := lfChunk; n < lfFeed; n += lfChunk {
+		prev = append(prev, n-1, n, n+1)
+	}
+	for i, n := range prev {
+		f.Add(int64(7+i), uint16(n), int64(-3*i))
+	}
+	f.Fuzz(func(t *testing.T, prevSeed int64, prevDraws uint16, seed int64) {
 		var lf lfSource
+		lf.Seed(prevSeed)
+		for i := 0; i < int(prevDraws); i++ {
+			lf.Uint64()
+		}
+		ref := rand.NewSource(seed).(rand.Source64)
 		lf.Seed(seed)
 		for i := 0; i < 1000; i++ {
 			if got, want := lf.Uint64(), ref.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: got %#x want %#x", seed, i, got, want)
+				t.Fatalf("seed %d after %d draws of seed %d, draw %d: got %#x want %#x",
+					seed, prevDraws, prevSeed, i, got, want)
 			}
 		}
 	})
 }
 
-// BenchmarkSeed derives a fresh state vector per iteration, as a
-// campaign's never-repeating seeds do. It must report 0 allocs/op.
+// BenchmarkSeed seeds a state and draws k values from it, as a
+// campaign's never-repeating seeds do: seeding alone derives nothing, so
+// the draws carry the derivation of the words they read. Every k must
+// report 0 allocs/op.
 func BenchmarkSeed(b *testing.B) {
-	var lf lfSource
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lf.Seed(int64(i))
+	for _, k := range []int{1, 16, lfLen} {
+		b.Run("draws="+strconv.Itoa(k), func(b *testing.B) {
+			var lf lfSource
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lf.Seed(int64(i))
+				for j := 0; j < k; j++ {
+					lf.Uint64()
+				}
+			}
+		})
 	}
 }
 

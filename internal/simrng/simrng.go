@@ -62,9 +62,11 @@ func mix64(z uint64) uint64 {
 // Float64 returns a uniform value in [0,1). The resample-on-1.0 loop
 // replicates rand.Rand.Float64 exactly (the 1.0 case needs the stream to
 // produce 1<<63-1, so it is astronomically rare but must stay identical).
+// It masks Uint64 itself rather than calling Int63, which keeps it within
+// the inlining budget around the out-of-line Uint64.
 func (s *Source) Float64() float64 {
 	for {
-		f := float64(s.lf.Int63()) / (1 << 63)
+		f := float64(int64(s.lf.Uint64()&lfMask)) / (1 << 63)
 		if f != 1 {
 			return f
 		}
