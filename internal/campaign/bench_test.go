@@ -13,9 +13,12 @@ import (
 	"repro/internal/scenario"
 )
 
-// The replay path's per-run budget: cellAt must stay in the
-// nanoseconds, and cacheKey (~1.5µs) must stay allocation-free; CI
-// checks that it reports 0 allocs/op.
+// The replay path's per-run budget. runAt and cellAt are index
+// arithmetic and a table read, in the nanoseconds; runKey is the key a
+// replayed run hashes, grid.keyAt's one scenario.RunKey over the
+// compiled base key. cacheKey is the full two-level key of one
+// scenario, which the campaign path no longer computes per run. CI
+// checks that runAt, runKey and cacheKey report 0 allocs/op.
 func BenchmarkRunAtAndKey(b *testing.B) {
 	g, err := compile(smallSpec())
 	if err != nil {
@@ -35,6 +38,11 @@ func BenchmarkRunAtAndKey(b *testing.B) {
 		sc, proto, seed, _ := g.runAt(0)
 		for i := 0; i < b.N; i++ {
 			scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
+		}
+	})
+	b.Run("runKey", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.keyAt(uint64(i) % g.total)
 		}
 	})
 }

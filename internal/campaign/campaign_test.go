@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/energy"
 	"repro/internal/runcache"
 	"repro/internal/scenario"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // smallSpec is the unit-test workhorse: a 2-protocol, 2-cell grid with
@@ -163,6 +165,67 @@ func TestGridDecomposition(t *testing.T) {
 	}
 }
 
+// TestGridKeysMatchScalarKeys checks the compiled table against the
+// scalar path: for every run index, grid.keyAt, the replica key memo
+// and runAt's compiled scenario all key like a scenario.Wild built from
+// the index's own mixed-radix digits (seed innermost, then location,
+// protocol, size, LTE, WiFi, replica). Every dimension has at least two
+// values and the location and size counts differ, so a transposed
+// table index reads another scenario.
+func TestGridKeysMatchScalarKeys(t *testing.T) {
+	dev := energy.GalaxyS3()
+	for _, seeds := range []int{1, 4} {
+		spec := Spec{
+			WiFi:      []string{"bad", "good"},
+			LTE:       []string{"good", "bad"},
+			Locations: []string{"wdc", "ams", "sng"},
+			SizesMB:   []float64{0.25, 1},
+			Protocols: []string{"mptcp", "emptcp"},
+			Seeds:     SeedRange{Base: 40, Count: seeds},
+			Replicate: 3,
+		}
+		g, err := compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newExecutor(g, nil, false)
+		e.memoizeKeys(2)
+		radix := []int{seeds, len(spec.Locations), len(spec.Protocols), len(spec.SizesMB), len(spec.LTE), len(spec.WiFi)}
+		for i := uint64(0); i < g.total; i++ {
+			var d [6]int
+			r := i
+			for k, n := range radix {
+				d[k] = int(r % uint64(n))
+				r /= uint64(n)
+			}
+			seed := spec.Seeds.Base + int64(d[0])
+			loc, _ := locationOf(spec.Locations[d[1]])
+			proto, _ := protocolOf(spec.Protocols[d[2]])
+			size := units.ByteSize(spec.SizesMB[d[3]] * float64(units.MB))
+			lq, _ := qualityOf(spec.LTE[d[4]])
+			wq, _ := qualityOf(spec.WiFi[d[5]])
+			sc := scenario.Wild(dev, wq, lq, loc, workload.FileDownload{Size: size})
+			want, ok := scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
+			if !ok {
+				t.Fatalf("seeds=%d run %d: Wild scenario has no key", seeds, i)
+			}
+			if got, ok := g.keyAt(i); !ok || got != want {
+				t.Fatalf("seeds=%d run %d: grid.keyAt differs from the scalar key of %q", seeds, i, sc.Name)
+			}
+			if got, ok := e.keyAt(i); !ok || got != want {
+				t.Fatalf("seeds=%d run %d: memoized key differs from the scalar key of %q", seeds, i, sc.Name)
+			}
+			rsc, rproto, rseed, _ := g.runAt(i)
+			if rproto != proto || rseed != seed {
+				t.Fatalf("seeds=%d run %d: runAt decodes (%v, %d), want (%v, %d)", seeds, i, rproto, rseed, proto, seed)
+			}
+			if got, ok := scenario.CacheKey(rsc, rproto, scenario.Opts{Seed: rseed}); !ok || got != want {
+				t.Fatalf("seeds=%d run %d: runAt's scenario %q keys differently from %q", seeds, i, rsc.Name, sc.Name)
+			}
+		}
+	}
+}
+
 func TestCodecRoundtrip(t *testing.T) {
 	r := scenario.Result{
 		Protocol:       scenario.EMPTCP,
@@ -274,7 +337,7 @@ func TestExecuteByteIdenticalAcrossWorkersAndCache(t *testing.T) {
 
 func TestCancelThenResumeFromDisk(t *testing.T) {
 	spec := smallSpec()
-	spec.Seeds.Count = 40 // enough runway for the cancel to land mid-flight
+	spec.Seeds.Count = 400 // enough runway for the cancel to land mid-flight
 	ref := runToBytes(t, spec, Options{Jobs: 1})
 
 	dir := t.TempDir()

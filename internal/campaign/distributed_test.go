@@ -204,10 +204,11 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 			return
 		default:
 		}
-		grant, ok, gone := j.Lease(name)
-		if gone {
-			return
-		}
+		// Nothing to lease, or the job is not running: Lease answers
+		// gone for a job that Execute has not started yet as well as
+		// for a finished one. Poll on until done, as Worker does on
+		// both its 204 and its 410.
+		grant, ok, _ := j.Lease(name)
 		if !ok {
 			time.Sleep(time.Millisecond)
 			continue

@@ -89,7 +89,9 @@ type Progress struct {
 // campaign execution that is identical whether it runs inside the
 // coordinator's Job or inside a remote `emptcpsim worker`. Each process
 // owns one executor per campaign, with its own disk store, single-
-// flight, and key memo.
+// flight, and key memo. The grid's compiled scenarios and base keys are
+// read-only, so the executor's goroutines share them: no run assembles
+// a scenario or re-encodes one for its key.
 type executor struct {
 	g          *grid
 	disk       *runcache.Store
@@ -103,11 +105,10 @@ type executor struct {
 
 	// keys memoizes the base grid's cache keys when Replicate > 1:
 	// replica r of run i shares run i's key, so a replayed replica costs
-	// a slice read instead of a ~1.5µs reflective encoding and SHA-256
-	// of the run's inputs. Sized to one replica — the
-	// base grid — so population-scale campaigns (small grid, huge
-	// Replicate) pay O(base), not O(runs). Filled once before the
-	// first shard folds; read-only after.
+	// a slice read instead of grid.keyAt's scenario.RunKey hash. Sized
+	// to one replica — the base grid — so population-scale campaigns
+	// (small grid, huge Replicate) pay O(base), not O(runs). Filled
+	// once before the first shard folds; read-only after.
 	keyOnce sync.Once
 	keys    []runcache.Key
 	keyOK   []bool
@@ -161,9 +162,10 @@ func (e *executor) nShards() uint64 {
 	return (e.g.total + size - 1) / size
 }
 
-// memoizeKeys pre-digests one replica's worth of cache keys when the
-// grid repeats. Disjoint index ranges per goroutine, so the fill is
-// race-free and the slices are immutable once published by the Once.
+// memoizeKeys fills the key memo from grid.keyAt — one RunKey over a
+// compiled base key per run of one replica — when the grid repeats.
+// Disjoint index ranges per goroutine, so the fill is race-free and the
+// slices are immutable once published by the Once.
 func (e *executor) memoizeKeys(jobs int) {
 	e.keyOnce.Do(func() {
 		rep := e.g.spec.Replicate
@@ -187,8 +189,7 @@ func (e *executor) memoizeKeys(jobs int) {
 			go func(lo, hi uint64) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					sc, proto, seed, _ := e.g.runAt(i)
-					keys[i], keyOK[i] = scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
+					keys[i], keyOK[i] = e.g.keyAt(i)
 				}
 			}(lo, hi)
 		}
@@ -197,15 +198,14 @@ func (e *executor) memoizeKeys(jobs int) {
 	})
 }
 
-// keyAt returns run i's cache key, from the memo when the grid
-// repeats.
+// keyAt returns run i's cache key: from the memo when the grid
+// repeats, else grid.keyAt's one RunKey over the compiled base key.
 func (e *executor) keyAt(i uint64) (runcache.Key, bool) {
 	if e.keys != nil {
 		b := i % e.baseN
 		return e.keys[b], e.keyOK[b]
 	}
-	sc, proto, seed, _ := e.g.runAt(i)
-	return scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
+	return e.g.keyAt(i)
 }
 
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
@@ -227,7 +227,7 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	// contiguous same-(scenario, protocol) blocks of up to Seeds.Count
 	// runs — exactly lockstep's unit of work. Each block carries a lazy
 	// lane batch; it fires only if some run in the block actually needs
-	// simulating (all-disk-hit blocks never construct a scenario).
+	// simulating (all-disk-hit blocks never fire it).
 	nSeed := uint64(e.g.spec.Seeds.Count)
 	var blk *laneBlock
 	for i := lo; i < hi; i++ {
@@ -300,9 +300,8 @@ func (b *laneBlock) result(i uint64) (scenario.Result, bool) {
 }
 
 // oneRun produces run i's result: disk hit, collapsed duplicate, or a
-// fresh simulation (persisted before returning). The scenario is only
-// constructed if the run actually simulates — on the replay path a run
-// is a key lookup, a disk read, and a decode.
+// fresh simulation (persisted before returning). On the replay path a
+// run is one RunKey hash (or a memo read), a disk read, and a decode.
 func (e *executor) oneRun(i uint64, blk *laneBlock) (scenario.Result, error) {
 	sim := func() scenario.Result {
 		if blk != nil {

@@ -250,7 +250,7 @@ func TestServerShutdownResume(t *testing.T) {
 // of an unfinished campaign returns its progress, not partial bytes.
 func TestServerResultConflict(t *testing.T) {
 	spec := smallSpec()
-	spec.Seeds.Count = 200 // long enough to still be running when probed
+	spec.Seeds.Count = 2000 // long enough to still be running when probed
 
 	srv := NewServer(nil, 1)
 	defer srv.Close()

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/energy"
+	"repro/internal/runcache"
 	"repro/internal/scenario"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -238,12 +239,24 @@ func protocolOf(name string) (scenario.Protocol, error) {
 // determinism and the disk-cache resume both replay it.
 type grid struct {
 	spec   Spec
-	device *energy.DeviceProfile
 	wifi   []scenario.Quality
 	lte    []scenario.Quality
 	locs   []scenario.ServerLoc
 	protos []scenario.Protocol
 	total  uint64
+
+	// scens holds each distinct scenario once, with its base key, at
+	// index ((wifi·nLTE + lte)·nSize + size)·nLoc + loc: only the
+	// protocol and the seed vary within one. compile fills it; it is
+	// read-only after, so every worker shares it.
+	scens []compiledScenario
+}
+
+// compiledScenario is one grid scenario and its scenario.BaseKey.
+type compiledScenario struct {
+	sc     scenario.Scenario
+	base   runcache.Key
+	baseOK bool
 }
 
 func compile(spec Spec) (*grid, error) {
@@ -251,8 +264,8 @@ func compile(spec Spec) (*grid, error) {
 		return nil, err
 	}
 	g := &grid{spec: spec}
-	var err error
-	if g.device, err = deviceOf(spec.Device); err != nil {
+	device, err := deviceOf(spec.Device)
+	if err != nil {
 		return nil, err
 	}
 	for _, q := range spec.WiFi {
@@ -272,6 +285,19 @@ func compile(spec Spec) (*grid, error) {
 		g.protos = append(g.protos, v)
 	}
 	g.total = spec.TotalRuns()
+	g.scens = make([]compiledScenario, 0, len(g.wifi)*len(g.lte)*len(spec.SizesMB)*len(g.locs))
+	for _, wq := range g.wifi {
+		for _, lq := range g.lte {
+			for _, mb := range spec.SizesMB {
+				work := workload.FileDownload{Size: units.ByteSize(mb * float64(units.MB))}
+				for _, loc := range g.locs {
+					sc := scenario.Wild(device, wq, lq, loc, work)
+					base, ok := scenario.BaseKey(sc)
+					g.scens = append(g.scens, compiledScenario{sc: sc, base: base, baseOK: ok})
+				}
+			}
+		}
+	}
 	return g, nil
 }
 
@@ -282,28 +308,15 @@ func (g *grid) cells() int {
 	return len(g.wifi) * len(g.lte) * len(g.spec.SizesMB) * len(g.protos)
 }
 
-// cellAt is runAt's arithmetic-only sibling: the aggregation cell of
-// run i, with no scenario construction. The executor calls it once per
-// run on the replay path, so it must stay allocation-free.
+// cellAt is the aggregation cell of run i.
 func (g *grid) cellAt(i uint64) int {
-	i /= uint64(g.spec.Seeds.Count)
-	i /= uint64(len(g.locs))
-	nProto := uint64(len(g.protos))
-	protoIdx := i % nProto
-	i /= nProto
-	nSize := uint64(len(g.spec.SizesMB))
-	sizeIdx := i % nSize
-	i /= nSize
-	nLTE := uint64(len(g.lte))
-	lteIdx := i % nLTE
-	i /= nLTE
-	wifiIdx := i % uint64(len(g.wifi))
-	return int(((wifiIdx*nLTE+lteIdx)*nSize+sizeIdx)*nProto + protoIdx)
+	_, _, _, cell := g.at(i)
+	return cell
 }
 
-// runAt decodes run index i into its scenario, protocol, seed, and
-// aggregation cell.
-func (g *grid) runAt(i uint64) (sc scenario.Scenario, proto scenario.Protocol, seed int64, cell int) {
+// at decodes run index i into its compiled scenario, protocol, seed,
+// and aggregation cell: index arithmetic and a table read.
+func (g *grid) at(i uint64) (c *compiledScenario, proto scenario.Protocol, seed int64, cell int) {
 	nSeed := uint64(g.spec.Seeds.Count)
 	nLoc := uint64(len(g.locs))
 	nProto := uint64(len(g.protos))
@@ -324,11 +337,28 @@ func (g *grid) runAt(i uint64) (sc scenario.Scenario, proto scenario.Protocol, s
 	// The remaining quotient is the replica number; it changes nothing
 	// about the run, which is exactly what makes replicas cache hits.
 
-	size := units.ByteSize(g.spec.SizesMB[sizeIdx] * float64(units.MB))
-	sc = scenario.Wild(g.device, g.wifi[wifiIdx], g.lte[lteIdx], g.locs[locIdx],
-		workload.FileDownload{Size: size})
+	c = &g.scens[((wifiIdx*nLTE+lteIdx)*nSize+sizeIdx)*nLoc+locIdx]
 	proto = g.protos[protoIdx]
 	seed = g.spec.Seeds.Base + int64(seedIdx)
 	cell = int(((wifiIdx*nLTE+lteIdx)*nSize+sizeIdx)*nProto + protoIdx)
-	return sc, proto, seed, cell
+	return c, proto, seed, cell
+}
+
+// runAt decodes run index i into its scenario, protocol, seed, and
+// aggregation cell. The scenario is the compiled one, shared by every
+// run of its (wifi, lte, size, location) coordinates.
+func (g *grid) runAt(i uint64) (scenario.Scenario, scenario.Protocol, int64, int) {
+	c, proto, seed, cell := g.at(i)
+	return c.sc, proto, seed, cell
+}
+
+// keyAt returns run i's cache key: the compiled scenario's base key
+// completed with the run's protocol and seed by one scenario.RunKey.
+// It equals scenario.CacheKey of runAt(i).
+func (g *grid) keyAt(i uint64) (runcache.Key, bool) {
+	c, proto, seed, _ := g.at(i)
+	if !c.baseOK {
+		return runcache.Key{}, false
+	}
+	return scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
 }

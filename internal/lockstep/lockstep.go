@@ -131,7 +131,8 @@ func RunAppend(dst []scenario.Result, sc scenario.Scenario, proto scenario.Proto
 	}
 	// Per-seed memoization over one lazily-computed batch: the batch
 	// simulates inside the first missing seed's Do, so a fully-cached
-	// batch never fires it.
+	// batch never fires it. The seeds share a scenario, so it is hashed
+	// once and each seed's key is one RunKey over that base.
 	var (
 		once  sync.Once
 		batch []scenario.Result
@@ -140,11 +141,12 @@ func RunAppend(dst []scenario.Result, sc scenario.Scenario, proto scenario.Proto
 		batch = make([]scenario.Result, len(seeds))
 		runBatch(batch, sc, proto, seeds, opt)
 	}
+	scKey, scOK := scenario.BaseKey(sc)
 	for i, seed := range seeds {
 		o := opt
 		o.Seed = seed
-		k, ok := scenario.CacheKey(sc, proto, o)
-		if !ok {
+		k, ok := scenario.RunKey(scKey, proto, o)
+		if !scOK || !ok {
 			out[i] = scenario.Run(sc, proto, o)
 			continue
 		}

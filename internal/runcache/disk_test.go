@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,51 +109,72 @@ func TestDiskStoreReopen(t *testing.T) {
 // chopped off the segment tail, and garbage appended after valid
 // records. Recovery must keep every intact record and truncate the rest.
 func TestDiskStoreTornTailRecovery(t *testing.T) {
-	for _, chop := range []int{1, 3, 7, 20, 39} {
-		t.Run(fmt.Sprintf("chop-%d", chop), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				if err := s.Put(testKey(i), []byte(fmt.Sprintf("v%02d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.Close()
+	for _, tc := range []struct {
+		name string
+		n    int
+		pad  string
+	}{
+		{"chop-%d", 10, ""},
+		// 2,000 records of ~150 bytes (~300 KB) make the index rebuild
+		// cross several refills of its read buffer.
+		{"records-2000-chop-%d", 2000, strings.Repeat("x", 100)},
+	} {
+		for _, chop := range []int{1, 3, 7, 20, 39} {
+			t.Run(fmt.Sprintf(tc.name, chop), func(t *testing.T) {
+				tornTailRecovery(t, tc.n, chop, tc.pad)
+			})
+		}
+	}
+}
 
-			seg := filepath.Join(dir, "cache-000001.seg")
-			raw, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(seg, raw[:len(raw)-chop], 0o644); err != nil {
-				t.Fatal(err)
-			}
+// tornTailRecovery writes n records, chops chop bytes off the last one,
+// and checks that reopening keeps the other n−1 and that the last key
+// can be written again: the re-Put lands where recovery left the
+// append position, so it fails unless that is the truncation point.
+func tornTailRecovery(t *testing.T, n, chop int, pad string) {
+	val := func(i int) string { return fmt.Sprintf("v%02d", i) + pad }
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Put(testKey(i), []byte(val(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
 
-			s2, err := OpenStore(dir)
-			if err != nil {
-				t.Fatalf("recovery failed: %v", err)
-			}
-			defer s2.Close()
-			if s2.Len() != 9 {
-				t.Fatalf("after chopping %dB of the last record: Len=%d want 9", chop, s2.Len())
-			}
-			for i := 0; i < 9; i++ {
-				v, ok, err := s2.Get(testKey(i))
-				if err != nil || !ok || string(v) != fmt.Sprintf("v%02d", i) {
-					t.Fatalf("record %d lost in recovery: %q ok=%v err=%v", i, v, ok, err)
-				}
-			}
-			// The truncated key is writable again.
-			if err := s2.Put(testKey(9), []byte("rewritten")); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok, _ := s2.Get(testKey(9)); !ok || string(v) != "rewritten" {
-				t.Fatal("rewrite after recovery failed")
-			}
-		})
+	seg := filepath.Join(dir, "cache-000001.seg")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, raw[:len(raw)-chop], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	defer s2.Close()
+	last := n - 1
+	if s2.Len() != last {
+		t.Fatalf("after chopping %dB of the last record: Len=%d want %d", chop, s2.Len(), last)
+	}
+	for i := 0; i < last; i++ {
+		v, ok, err := s2.Get(testKey(i))
+		if err != nil || !ok || string(v) != val(i) {
+			t.Fatalf("record %d lost in recovery: %q ok=%v err=%v", i, v, ok, err)
+		}
+	}
+	// The truncated key is writable again.
+	if err := s2.Put(testKey(last), []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := s2.Get(testKey(last)); !ok || string(v) != "rewritten" {
+		t.Fatal("rewrite after recovery failed")
 	}
 }
 

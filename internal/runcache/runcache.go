@@ -10,7 +10,7 @@
 //
 // Correctness rests on runs being pure functions of their digested
 // inputs: the scenario package only consults the cache for scenarios
-// whose construction it controls (see Scenario.cacheKey), and a cached
+// whose construction it controls (see scenario.CacheKey), and a cached
 // result is returned by value, never aliased.
 package runcache
 

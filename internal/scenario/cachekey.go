@@ -18,12 +18,12 @@ type RunCache = runcache.Cache[Result]
 // NewRunCache returns an empty run cache.
 func NewRunCache() *RunCache { return runcache.New[Result]() }
 
-// keyVersion leads every key encoding. Bump it whenever the encoding or
-// the fields of a digested type change, so keys — and the results
-// persisted under them by runcache.Store — from the old layout miss
-// instead of replaying under a new meaning. TestCacheKeyGolden pins one
-// key to force the bump.
-const keyVersion = 2
+// keyVersion leads both levels of the key encoding. Bump it whenever
+// the encoding or the fields of a digested type change, so keys — and
+// the results persisted under them by runcache.Store — from the old
+// layout miss instead of replaying under a new meaning.
+// TestCacheKeyGolden pins one key to force the bump.
+const keyVersion = 3
 
 // Tags of the key encoding: one before every leaf and every composite.
 const (
@@ -46,25 +46,32 @@ const (
 // (no link signature, so the link-builder funcs are opaque), or a
 // Recorder observes the run's events in-line.
 //
-// The digest is the SHA-256 of one canonical binary encoding: a version
-// byte, then every input as a tagged leaf — floats by their IEEE bits,
-// strings length-prefixed — from a reflective walk of the device
-// profile, the controller override and the workload, which also
-// records the workload's concrete type and whether each pointer is nil.
-// No leaf is rendered through fmt or a String method, so any input
-// difference changes the key. The per-run RNG is rebuilt from Seed, so
-// equal digests imply bit-identical results; that is what lets the
-// campaign engine key its disk store with it.
+// The key has two SHA-256 levels: BaseKey digests the scenario, and
+// RunKey digests that base with the protocol and the run options.
+// Callers that run one scenario many times, such as the campaign grid
+// and lockstep batches, hash the scenario once and each run's tail
+// alone. The per-run RNG is rebuilt from Seed, so equal digests imply
+// bit-identical results; that is what lets the campaign engine key its
+// disk store with it.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
-	return cacheKey(sc, proto, opt)
-}
-
-func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
-	if sc.linkSig == "" || opt.Recorder != nil {
+	base, ok := BaseKey(sc)
+	if !ok {
 		return runcache.Key{}, false
 	}
-	if opt.TraceStep <= 0 {
-		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
+	return RunKey(base, proto, opt)
+}
+
+// BaseKey digests a scenario: the SHA-256 of one canonical binary
+// encoding, a version byte and then every Scenario input as a tagged
+// leaf — floats by their IEEE bits, strings length-prefixed — from a
+// reflective walk of the device profile, the controller override and
+// the workload, which also records the workload's concrete type and
+// whether each pointer is nil. No leaf is rendered through fmt or a
+// String method, so any input difference changes the key. ok is false
+// for a scenario built outside this package's library.
+func BaseKey(sc Scenario) (runcache.Key, bool) {
+	if sc.linkSig == "" {
+		return runcache.Key{}, false
 	}
 	bp := keyBufs.Get().(*[]byte)
 	b := append((*bp)[:0], keyVersion)
@@ -77,14 +84,31 @@ func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	b = appendFloat(b, float64(sc.AppPower))
 	b = appendValue(b, reflect.ValueOf(sc.CoreConfig))
 	b = appendDynamic(b, reflect.ValueOf(sc.Work))
-	b = appendWord(b, tagInt, uint64(proto))
-	b = appendWord(b, tagInt, uint64(opt.Seed))
-	b = appendBool(b, opt.Trace)
-	b = appendFloat(b, opt.TraceStep)
 	k := runcache.Key(sha256.Sum256(b))
 	*bp = b
 	keyBufs.Put(bp)
 	return k, true
+}
+
+// RunKey completes the base key of a scenario with one run's tail: the
+// version byte, the base, then the protocol, seed, Trace and TraceStep
+// as tagged leaves. The encoding fits one 64-byte buffer on the stack.
+// It reports ok=false when a Recorder observes the run.
+func RunKey(base runcache.Key, proto Protocol, opt Opts) (runcache.Key, bool) {
+	if opt.Recorder != nil {
+		return runcache.Key{}, false
+	}
+	if opt.TraceStep <= 0 {
+		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
+	}
+	var buf [64]byte
+	b := append(buf[:0], keyVersion)
+	b = append(b, base[:]...)
+	b = appendWord(b, tagInt, uint64(proto))
+	b = appendWord(b, tagInt, uint64(opt.Seed))
+	b = appendBool(b, opt.Trace)
+	b = appendFloat(b, opt.TraceStep)
+	return runcache.Key(sha256.Sum256(b)), true
 }
 
 // keyBufs recycles encoding buffers. The walk below is recursive, which

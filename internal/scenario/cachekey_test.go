@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/runcache"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -119,16 +120,20 @@ func flipLeaf(t *testing.T, v reflect.Value, path []int) string {
 
 // TestCacheKeyLeafFlip changes one input leaf at a time, by one ULP, one
 // unit, a flipped bool or one appended byte, and requires the key to
-// change every time.
+// change every time. Scenario leaves go through CacheKey; the run tail
+// (protocol and options) goes through RunKey over the reference base.
 func TestCacheKeyLeafFlip(t *testing.T) {
 	seen := map[runcache.Key]string{}
-	check := func(name string, sc Scenario, opt Opts) {
+	record := func(name string, k runcache.Key) {
 		t.Helper()
-		k := mustKey(t, sc, EMPTCP, opt)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("%s shares a key with %s", name, prev)
 		}
 		seen[k] = name
+	}
+	check := func(name string, sc Scenario, opt Opts) {
+		t.Helper()
+		record(name, mustKey(t, sc, EMPTCP, opt))
 	}
 	roots := []struct {
 		name string
@@ -167,21 +172,38 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 
 	sc, opt := keyBase(keyWorkloads[0])
 	flips := map[string]func(sc *Scenario, opt *Opts){
-		"Name":      func(sc *Scenario, _ *Opts) { sc.Name += "x" },
-		"linkSig":   func(sc *Scenario, _ *Opts) { sc.linkSig += "x" },
-		"WiFiRTT":   func(sc *Scenario, _ *Opts) { sc.WiFiRTT = math.Nextafter(sc.WiFiRTT, 1) },
-		"LTERTT":    func(sc *Scenario, _ *Opts) { sc.LTERTT = math.Nextafter(sc.LTERTT, 1) },
-		"Horizon":   func(sc *Scenario, _ *Opts) { sc.Horizon = math.Nextafter(sc.Horizon, 1e9) },
-		"AppPower":  func(sc *Scenario, _ *Opts) { sc.AppPower = units.Power(math.Nextafter(float64(sc.AppPower), 1e9)) },
-		"nil core":  func(sc *Scenario, _ *Opts) { sc.CoreConfig = nil },
-		"Seed":      func(_ *Scenario, opt *Opts) { opt.Seed++ },
-		"Trace":     func(_ *Scenario, opt *Opts) { opt.Trace = !opt.Trace },
-		"TraceStep": func(_ *Scenario, opt *Opts) { opt.TraceStep = math.Nextafter(opt.TraceStep, 1) },
+		"Name":     func(sc *Scenario, _ *Opts) { sc.Name += "x" },
+		"linkSig":  func(sc *Scenario, _ *Opts) { sc.linkSig += "x" },
+		"WiFiRTT":  func(sc *Scenario, _ *Opts) { sc.WiFiRTT = math.Nextafter(sc.WiFiRTT, 1) },
+		"LTERTT":   func(sc *Scenario, _ *Opts) { sc.LTERTT = math.Nextafter(sc.LTERTT, 1) },
+		"Horizon":  func(sc *Scenario, _ *Opts) { sc.Horizon = math.Nextafter(sc.Horizon, 1e9) },
+		"AppPower": func(sc *Scenario, _ *Opts) { sc.AppPower = units.Power(math.Nextafter(float64(sc.AppPower), 1e9)) },
+		"nil core": func(sc *Scenario, _ *Opts) { sc.CoreConfig = nil },
 	}
 	for name, flip := range flips {
 		sc, opt := sc, opt
 		flip(&sc, &opt)
 		check(name, sc, opt)
+	}
+
+	base, ok := BaseKey(sc)
+	if !ok {
+		t.Fatal("reference scenario has no base key")
+	}
+	tail := map[string]func(proto *Protocol, opt *Opts){
+		"Protocol":  func(proto *Protocol, _ *Opts) { *proto = MPTCP },
+		"Seed":      func(_ *Protocol, opt *Opts) { opt.Seed++ },
+		"Trace":     func(_ *Protocol, opt *Opts) { opt.Trace = !opt.Trace },
+		"TraceStep": func(_ *Protocol, opt *Opts) { opt.TraceStep = math.Nextafter(opt.TraceStep, 1) },
+	}
+	for name, flip := range tail {
+		proto, opt := EMPTCP, opt
+		flip(&proto, &opt)
+		k, ok := RunKey(base, proto, opt)
+		if !ok {
+			t.Fatalf("%s: RunKey not ok", name)
+		}
+		record(name, k)
 	}
 
 	// The default TraceStep is 1 s, so leaving it unset keys the same run.
@@ -190,6 +212,51 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 	opt.TraceStep = 1
 	if one := mustKey(t, sc, EMPTCP, opt); zero != one {
 		t.Error("TraceStep 0 and 1 get different keys")
+	}
+}
+
+// TestRunKeyComposesBaseKey checks that the two-level key is the only
+// encoding: RunKey over BaseKey equals CacheKey for every library
+// scenario, protocol and option spelling, and a Recorder makes both
+// ineligible.
+func TestRunKeyComposesBaseKey(t *testing.T) {
+	dev := energy.GalaxyS3()
+	work := workload.FileDownload{Size: 4 * units.MB}
+	library := []Scenario{
+		StaticLab(dev, 6, 4.5, work),
+		RandomBandwidth(dev, work),
+		BackgroundTraffic(dev, 2, 0.05, 0.025, work),
+		Mobility(dev),
+		MobilityMultiAP(dev),
+		Wild(dev, Good, Bad, AMS, work),
+		WebBrowsing(dev),
+	}
+	opts := []Opts{{}, {Seed: 7}, {Seed: -3, Trace: true, TraceStep: 0.5}}
+	for _, sc := range library {
+		base, ok := BaseKey(sc)
+		if !ok {
+			t.Fatalf("%s: library scenario has no base key", sc.Name)
+		}
+		for _, proto := range AllProtocols {
+			for _, opt := range opts {
+				want := mustKey(t, sc, proto, opt)
+				if got, ok := RunKey(base, proto, opt); !ok || got != want {
+					t.Errorf("%s/%v/%+v: RunKey(BaseKey) = %x (ok=%v), CacheKey = %x", sc.Name, proto, opt, got, ok, want)
+				}
+			}
+		}
+		rec := Opts{Seed: 1, Recorder: trace.NewMetrics(1)}
+		if _, ok := RunKey(base, MPTCP, rec); ok {
+			t.Errorf("%s: RunKey is ok with a Recorder", sc.Name)
+		}
+		if _, ok := CacheKey(sc, MPTCP, rec); ok {
+			t.Errorf("%s: CacheKey is ok with a Recorder", sc.Name)
+		}
+	}
+	custom := StaticLab(dev, 6, 4.5, work)
+	custom.linkSig = ""
+	if _, ok := BaseKey(custom); ok {
+		t.Error("a scenario without a link signature has a base key")
 	}
 }
 
@@ -203,7 +270,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 	}
 	for typ, fields := range known {
 		if typ.NumField() != len(fields) {
-			t.Errorf("%v has %d fields, the key covers %d: encode the new one in cacheKey, bump keyVersion and add it to TestCacheKeyLeafFlip", typ, typ.NumField(), len(fields))
+			t.Errorf("%v has %d fields, the key covers %d: encode the new one in BaseKey or RunKey, bump keyVersion and add it to TestCacheKeyLeafFlip", typ, typ.NumField(), len(fields))
 			continue
 		}
 		for i, f := range fields {
@@ -220,7 +287,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	sc := StaticLab(energy.GalaxyS3(), 6, 4.5, workload.FileDownload{Size: 16 * units.MB})
 	k := mustKey(t, sc, MPTCP, Opts{Seed: 1})
-	const want = "b9d267031091d613fd869d03f106d364ba39afd289423238cceb53b872ffee2e"
+	const want = "6d8ad33b6e39eb9ced0988ae533b8c224b5d77755d9352ef3addd3ccbd0b5d87"
 	if got := hex.EncodeToString(k[:]); got != want {
 		t.Errorf("reference key = %s, want %s", got, want)
 	}

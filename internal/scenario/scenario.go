@@ -235,7 +235,7 @@ type associationSource interface {
 // inputs and simulate at most once per cache.
 func Run(sc Scenario, proto Protocol, opt Opts) Result {
 	if opt.Cache != nil {
-		if k, ok := cacheKey(sc, proto, opt); ok {
+		if k, ok := CacheKey(sc, proto, opt); ok {
 			return opt.Cache.Do(k, func() Result { return runPooled(sc, proto, opt) })
 		}
 	}
