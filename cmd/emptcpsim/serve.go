@@ -17,18 +17,15 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/exp"
-	"repro/internal/lockstep"
 	"repro/internal/runcache"
 )
 
-// logRunStats prints the persistent-store and lockstep counters to
-// stderr in the same shape as the single-run -v contract, so serve and
-// campaign logs are greppable with the same patterns.
+// logRunStats prints the persistent-store counters to stderr in the
+// same shape as the single-run -v contract, so serve and campaign logs
+// are greppable with the same patterns.
 func logRunStats(stderr io.Writer, store *runcache.Store) {
 	gets, hits, puts := store.DiskStats()
-	lanes, peels := lockstep.Stats()
 	fmt.Fprintf(stderr, "runcache store: %d gets, %d hits, %d puts\n", gets, hits, puts)
-	fmt.Fprintf(stderr, "lockstep: %d lane runs, %d peeled\n", lanes, peels)
 }
 
 // openStore opens the persistent run cache, or returns nil (in-memory
@@ -56,7 +53,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8383", "listen address")
 	cacheDir := fs.String("cachedir", "", "persistent run-cache directory (empty: in-memory only, no resume)")
 	jobs := fs.Int("j", runtime.NumCPU(), "worker count per campaign")
-	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
 	token := fs.String("token", "", "require this bearer token on every route except /healthz")
 	leaseTTL := fs.Duration("lease-ttl", campaign.DefaultLeaseTTL, "shard-lease expiry for remote workers")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +82,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	srv := campaign.NewServerOpts(campaign.Options{
-		Disk: store, Jobs: *jobs, NoLockstep: !*useLockstep, LeaseTTL: *leaseTTL,
+		Disk: store, Jobs: *jobs, LeaseTTL: *leaseTTL,
 	})
 	srv.SetAuthToken(*token)
 
@@ -145,8 +141,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cachedir", "", "persistent run-cache directory (empty: none)")
 	jobs := fs.Int("j", runtime.NumCPU(), "worker count")
 	outFile := fs.String("o", "", "write aggregates to FILE (default stdout)")
-	verbose := fs.Bool("v", false, "print run/cache/lockstep statistics to stderr")
-	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
+	verbose := fs.Bool("v", false, "print run and cache statistics to stderr")
 	device := fs.String("device", "s3", "device profile for the wild spec: s3 or n5")
 	sizeMB := fs.Float64("size", 16, "download size in MB for the wild spec")
 	population := fs.Int("population", 30, "seeds per cell for the wild spec")
@@ -199,7 +194,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	}
 	defer store.Close()
 
-	job, err := campaign.New(spec, campaign.Options{Disk: store, Jobs: *jobs, NoLockstep: !*useLockstep})
+	job, err := campaign.New(spec, campaign.Options{Disk: store, Jobs: *jobs})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -18,12 +18,11 @@ import (
 
 // runWorker is `emptcpsim worker`: the pull side of distributed
 // campaign execution. It polls the coordinator named by -coordinator
-// for running campaigns, leases shards, executes them with the full
-// local stack (lockstep lanes, its own -cachedir), and streams the
-// shard aggregates back. Any number of workers may attach to one
-// coordinator at any time; joining, leaving, and crashing never change
-// the campaign's output bytes. Each worker needs its own -cachedir —
-// the run cache is single-process.
+// for running campaigns, leases shards, executes them against its own
+// -cachedir, and streams the shard aggregates back. Any number of
+// workers may attach to one coordinator at any time; joining, leaving,
+// and crashing never change the campaign's output bytes. Each worker
+// needs its own -cachedir — the run cache is single-process.
 func runWorker(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emptcpsim worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -31,7 +30,6 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cachedir", "", "persistent run-cache directory for this worker (empty: none)")
 	token := fs.String("token", "", "bearer token, when the coordinator requires one")
 	jobs := fs.Int("j", runtime.NumCPU(), "shards to execute concurrently")
-	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts")
 	name := fs.String("name", "", "worker name in coordinator lease state (default host/pid)")
 	verbose := fs.Bool("v", false, "log each leased shard and completion to stderr")
@@ -77,7 +75,6 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		Token:        *token,
 		Disk:         store,
 		Jobs:         *jobs,
-		NoLockstep:   !*useLockstep,
 		PollInterval: *poll,
 		Name:         *name,
 		Logf:         logf,

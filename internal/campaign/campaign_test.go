@@ -188,7 +188,7 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newExecutor(g, nil, false)
+		e := newExecutor(g, nil)
 		e.memoizeKeys(2)
 		radix := []int{seeds, len(spec.Locations), len(spec.Protocols), len(spec.SizesMB), len(spec.LTE), len(spec.WiFi)}
 		for i := uint64(0); i < g.total; i++ {

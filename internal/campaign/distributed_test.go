@@ -191,7 +191,7 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 		t.Error(err)
 		return
 	}
-	e := newExecutor(g2, nil, false)
+	e := newExecutor(g2, nil)
 	jspec := j.Spec()
 	digest, err := jspec.Digest()
 	if err != nil {
@@ -516,6 +516,42 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	payload := encodeShardAgg(digest, 0, hi-lo, 0, 0, a)
 	if code := post("/campaigns/"+p.ID+"/shards/0", payload); code != http.StatusGone {
 		t.Fatalf("completion on done campaign = %d, want 410", code)
+	}
+	// Frames that pass every framing check (encodeShardAgg recomputes
+	// the crc) but whose counts cannot be shard 0's: rejected before
+	// the campaign's state is consulted.
+	moved := newAgg(j.g.cells())
+	for i := lo; i < hi; i++ {
+		res, err := j.exec.oneRun(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := j.g.cellAt(i)
+		if i == lo {
+			cell = (cell + 1) % j.g.cells()
+		}
+		moved.add(cell, &res)
+	}
+	tamper := func(f func(c *cellAcc)) *agg {
+		b := newAgg(j.g.cells())
+		b.merge(a)
+		f(&b.cells[0])
+		return b
+	}
+	for _, bad := range []struct {
+		name string
+		agg  *agg
+	}{
+		{"run moved between cells", moved},
+		{"completed > runs", tamper(func(c *cellAcc) { c.completed = c.runs + 1 })},
+		{"lte_used > runs", tamper(func(c *cellAcc) { c.lteUsed = c.runs + 1 })},
+		{"energy n != runs", tamper(func(c *cellAcc) { c.energy.N-- })},
+		{"time n != completed", tamper(func(c *cellAcc) { c.dltime.N++ })},
+		{"J/B n > runs", tamper(func(c *cellAcc) { c.jpb.N = c.runs + 1 })},
+	} {
+		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(digest, 0, hi-lo, 0, 0, bad.agg)); code != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", bad.name, code)
+		}
 	}
 	// Lease and renew on a finished campaign: gone.
 	if code := post("/campaigns/"+p.ID+"/lease", nil); code != http.StatusGone {

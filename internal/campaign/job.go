@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lockstep"
 	"repro/internal/runcache"
 	"repro/internal/scenario"
 )
@@ -35,10 +34,6 @@ type Options struct {
 	// never affects the output bytes: shard boundaries and merge order
 	// are fixed by the spec.
 	Jobs int
-	// NoLockstep disables lane-batched replication: every simulated
-	// run goes through the scalar engine individually. Output bytes
-	// are identical either way.
-	NoLockstep bool
 	// LeaseTTL is the shard-lease expiry for distributed execution
 	// (default DefaultLeaseTTL). A remote worker that stops renewing
 	// for this long loses its shard to reassignment.
@@ -71,11 +66,6 @@ type Progress struct {
 	// RemoteRuns counts runs folded by remote workers' shard
 	// completions (included in RunsDone).
 	RemoteRuns uint64 `json:"remote_runs"`
-	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide): how
-	// many replications executed as lockstep lanes and how many were
-	// peeled back to the scalar engine.
-	LaneRuns  int64 `json:"lane_runs"`
-	LanePeels int64 `json:"lane_peels"`
 	// Leases is the shard-lease table snapshot: how the campaign is
 	// spread across workers right now.
 	Leases *LeaseState `json:"leases,omitempty"`
@@ -93,9 +83,8 @@ type Progress struct {
 // read-only, so the executor's goroutines share them: no run assembles
 // a scenario or re-encodes one for its key.
 type executor struct {
-	g          *grid
-	disk       *runcache.Store
-	noLockstep bool
+	g    *grid
+	disk *runcache.Store
 
 	// flight collapses concurrent duplicate runs (replicas landing in
 	// different workers) without retaining results: the key is
@@ -137,12 +126,11 @@ func (e *executor) counterDelta() (sim, hits uint64) {
 	return
 }
 
-func newExecutor(g *grid, disk *runcache.Store, noLockstep bool) *executor {
+func newExecutor(g *grid, disk *runcache.Store) *executor {
 	return &executor{
-		g:          g,
-		disk:       disk,
-		noLockstep: noLockstep,
-		flight:     runcache.NewFlight[scenario.Result](),
+		g:      g,
+		disk:   disk,
+		flight: runcache.NewFlight[scenario.Result](),
 	}
 }
 
@@ -223,31 +211,11 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	e.memoizeKeys(runtime.GOMAXPROCS(0))
 	lo, hi := e.shardRange(s)
 	a = newAgg(e.g.cells())
-	// The grid decodes seed-innermost, so a shard is a sequence of
-	// contiguous same-(scenario, protocol) blocks of up to Seeds.Count
-	// runs — exactly lockstep's unit of work. Each block carries a lazy
-	// lane batch; it fires only if some run in the block actually needs
-	// simulating (all-disk-hit blocks never fire it).
-	nSeed := uint64(e.g.spec.Seeds.Count)
-	var blk *laneBlock
 	for i := lo; i < hi; i++ {
 		if stop != nil && stop() {
 			return nil, nil
 		}
-		if start := i - i%nSeed; blk == nil || start != blk.start {
-			blk = nil
-			blo, bhi := start, start+nSeed
-			if blo < lo {
-				blo = lo
-			}
-			if bhi > hi {
-				bhi = hi
-			}
-			if !e.noLockstep && bhi-blo >= minLaneBlock {
-				blk = &laneBlock{e: e, start: start, lo: blo, hi: bhi}
-			}
-		}
-		res, err := e.oneRun(i, blk)
+		res, err := e.oneRun(i)
 		if err != nil {
 			return nil, err
 		}
@@ -259,57 +227,11 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	return a, nil
 }
 
-// minLaneBlock is the smallest same-cell seed block worth batching;
-// below it the lockstep setup overhead beats the dispatch savings
-// (mirroring the k ≥ 4 rule in the experiment harness).
-const minLaneBlock = 4
-
-// laneBlock is one shard-local contiguous same-(scenario, protocol)
-// seed block with a lazily-fired lockstep batch. The batch simulates
-// all of the block's seeds the first time any of its runs misses the
-// disk store; runs served by disk never trigger it.
-type laneBlock struct {
-	e       *executor
-	start   uint64 // first grid index of the full block (pre-clip)
-	lo, hi  uint64 // shard-clipped index range [lo, hi)
-	once    sync.Once
-	laned   bool
-	results []scenario.Result
-}
-
-// result returns run i's lane result, firing the batch on first use.
-// ok is false when the block's cell is outside the lockstep envelope —
-// the caller falls back to a scalar run.
-func (b *laneBlock) result(i uint64) (scenario.Result, bool) {
-	b.once.Do(func() {
-		sc, proto, seed0, _ := b.e.g.runAt(b.lo)
-		if !lockstep.Eligible(sc, proto, scenario.Opts{}) {
-			return
-		}
-		seeds := make([]int64, b.hi-b.lo)
-		for k := range seeds {
-			seeds[k] = seed0 + int64(k)
-		}
-		b.results = lockstep.Run(sc, proto, seeds, scenario.Opts{})
-		b.laned = true
-	})
-	if !b.laned {
-		return scenario.Result{}, false
-	}
-	return b.results[i-b.lo], true
-}
-
 // oneRun produces run i's result: disk hit, collapsed duplicate, or a
 // fresh simulation (persisted before returning). On the replay path a
 // run is one RunKey hash (or a memo read), a disk read, and a decode.
-func (e *executor) oneRun(i uint64, blk *laneBlock) (scenario.Result, error) {
+func (e *executor) oneRun(i uint64) (scenario.Result, error) {
 	sim := func() scenario.Result {
-		if blk != nil {
-			if r, ok := blk.result(i); ok {
-				e.simulated.Add(1)
-				return r
-			}
-		}
 		sc, proto, seed, _ := e.g.runAt(i)
 		e.simulated.Add(1)
 		return scenario.Run(sc, proto, scenario.Opts{Seed: seed})
@@ -393,7 +315,7 @@ func New(spec Spec, opts Options) (*Job, error) {
 	if opts.Jobs <= 0 {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
-	exec := newExecutor(g, opts.Disk, opts.NoLockstep)
+	exec := newExecutor(g, opts.Disk)
 	return &Job{
 		g:        g,
 		id:       id,
@@ -657,7 +579,6 @@ func (j *Job) deliver(s uint64, a *agg) {
 // Progress snapshots the job. The aggregate snapshot covers the merged
 // contiguous prefix, so its numbers are exact for the runs they count.
 func (j *Job) Progress() Progress {
-	laneRuns, lanePeels := lockstep.Stats()
 	done := j.runsDone.Load()
 	sim := j.exec.simulated.Load() + j.remoteSim.Load()
 	ls := j.leases.state()
@@ -669,8 +590,6 @@ func (j *Job) Progress() Progress {
 		Simulated:  sim,
 		DiskHits:   j.exec.diskHits.Load() + j.remoteHits.Load(),
 		RemoteRuns: j.remoteRuns.Load(),
-		LaneRuns:   laneRuns,
-		LanePeels:  lanePeels,
 		Leases:     &ls,
 	}
 	if done > 0 {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/lockstep"
 	"repro/internal/runcache"
 )
 
@@ -336,9 +335,9 @@ const maxShardBody = 64 << 20
 
 // handleShard accepts one shard's aggregate bytes from a worker. The
 // payload is validated structurally (crc, magic, cell count), then
-// against the campaign (digest, shard index vs URL) before the
-// first-write-wins merge. Duplicates are acknowledged as such — the
-// worker did nothing wrong, someone else was just faster.
+// against the campaign (digest, shard index vs URL, run counts per
+// cell) before the first-write-wins merge. Duplicates are acknowledged
+// as such — the worker did nothing wrong, someone else was just faster.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -375,6 +374,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	if lo, hi := j.exec.shardRange(shard); shard >= j.exec.nShards() || rep.runs != hi-lo {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: shard %d claims %d runs", shard, rep.runs))
+		return
+	}
+	if err := j.exec.checkCounts(shard, rep.agg); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	dup, gone := j.CompleteShard(rep)
@@ -421,9 +424,6 @@ type Statz struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CachePuts    uint64 `json:"cache_puts"`
 	CacheEntries int    `json:"cache_entries"`
-	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide counters).
-	LaneRuns  int64 `json:"lane_runs"`
-	LanePeels int64 `json:"lane_peels"`
 	// Campaigns carries each campaign's execution counters and lease
 	// table snapshot (aggregates omitted — this is a stats endpoint).
 	Campaigns []Progress `json:"campaigns"`
@@ -431,14 +431,11 @@ type Statz struct {
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	gets, hits, puts := s.opts.Disk.DiskStats()
-	laneRuns, lanePeels := lockstep.Stats()
 	st := Statz{
 		CacheGets:    gets,
 		CacheHits:    hits,
 		CachePuts:    puts,
 		CacheEntries: s.opts.Disk.Len(),
-		LaneRuns:     laneRuns,
-		LanePeels:    lanePeels,
 	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)

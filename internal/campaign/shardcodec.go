@@ -79,6 +79,32 @@ func encodeShardAgg(digest [32]byte, shard, runs, simulated, diskHits uint64, a 
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
+// checkCounts rejects a decoded aggregate that foldShard cannot have
+// produced for shard s: each cell must hold exactly the shard's runs
+// that the grid decodes into it, and keep the invariants cellAcc.add
+// maintains. The crc proves only that the bytes arrived as sent; this
+// proves that they count the runs the coordinator assigned.
+func (e *executor) checkCounts(s uint64, a *agg) error {
+	lo, hi := e.shardRange(s)
+	want := make([]uint64, len(a.cells))
+	for i := lo; i < hi; i++ {
+		want[e.g.cellAt(i)]++
+	}
+	for i := range a.cells {
+		c := &a.cells[i]
+		switch {
+		case c.runs != want[i]:
+			return fmt.Errorf("campaign: shard %d cell %d has %d runs, the grid assigns it %d", s, i, c.runs, want[i])
+		case c.completed > c.runs || c.lteUsed > c.runs:
+			return fmt.Errorf("campaign: shard %d cell %d counts %d completed and %d LTE runs of %d", s, i, c.completed, c.lteUsed, c.runs)
+		case c.energy.N != c.runs || c.dltime.N != c.completed || c.jpb.N > c.runs:
+			return fmt.Errorf("campaign: shard %d cell %d has %d energy, %d time and %d J/B samples for %d runs, %d completed",
+				s, i, c.energy.N, c.dltime.N, c.jpb.N, c.runs, c.completed)
+		}
+	}
+	return nil
+}
+
 // decodeShardAgg parses and validates a shard completion. wantCells
 // guards the merge: a payload whose cell count disagrees with the
 // campaign's grid is structurally wrong regardless of its checksum.

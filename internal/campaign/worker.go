@@ -17,12 +17,12 @@ import (
 
 // Worker is the pull side of the shard-lease protocol: a process (or an
 // in-process test fixture) that polls a coordinator for running
-// campaigns, leases shards, executes them with the full local stack —
-// lockstep lanes and its own disk store — and streams the bit-exact
-// shard aggregates back. Workers are stateless from the coordinator's
-// point of view: one can join mid-campaign, die mid-shard (the lease
-// expires and the shard reassigns), or race another worker to a
-// completion (first write wins) without perturbing the output bytes.
+// campaigns, leases shards, executes them against its own disk store,
+// and streams the bit-exact shard aggregates back. Workers are
+// stateless from the coordinator's point of view: one can join
+// mid-campaign, die mid-shard (the lease expires and the shard
+// reassigns), or race another worker to a completion (first write
+// wins) without perturbing the output bytes.
 type Worker struct {
 	opts    WorkerOptions
 	client  *http.Client
@@ -53,8 +53,6 @@ type WorkerOptions struct {
 	// Jobs is how many shards this worker executes concurrently
 	// (default 1; each shard already folds serially by design).
 	Jobs int
-	// NoLockstep disables lane batching, exactly as in Options.
-	NoLockstep bool
 	// PollInterval is the idle wait between lease attempts when the
 	// coordinator has nothing for us (default 500ms).
 	PollInterval time.Duration
@@ -232,7 +230,7 @@ func (w *Worker) executorFor(ctx context.Context, id string) (*executor, error) 
 	if gotID != id {
 		return nil, fmt.Errorf("campaign: coordinator spec for %s compiles to id %s", id, gotID)
 	}
-	e = newExecutor(g, w.opts.Disk, w.opts.NoLockstep)
+	e = newExecutor(g, w.opts.Disk)
 	w.mu.Lock()
 	if prev := w.execs[id]; prev != nil {
 		e = prev // another loop won the compile race

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/energy"
-	"repro/internal/lockstep"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -44,11 +43,6 @@ type Config struct {
 	// simulate each distinct (scenario, protocol, seed, options) run
 	// once. Tables are byte-identical with the cache on or off.
 	Cache *scenario.RunCache
-	// NoLockstep disables lane-batched replication (internal/lockstep)
-	// for repeated same-scenario runs, simulating every seed through the
-	// scalar engine. Output is byte-identical either way; lockstep only
-	// changes wall-clock time.
-	NoLockstep bool
 }
 
 func (c Config) device() *energy.DeviceProfile {
@@ -104,85 +98,13 @@ func repeatRuns[T any](cfg Config, n int, mk func(i int, opt scenario.Opts) T) [
 	})
 }
 
-// execPath names the execution strategies a replication group can take.
-// selectPath picks exactly one; the table test in dispatch_test.go pins
-// the choice for every eligibility combination so an eligibility edit
-// cannot silently disable a fast path.
-type execPath int
-
-const (
-	pathScalar   execPath = iota // independent scenario.Run per seed
-	pathCached   execPath = iota // scalar runs memoized through cfg.Cache
-	pathLockstep execPath = iota // lane-batched replication (lockstep.Run)
-)
-
-func (p execPath) String() string {
-	switch p {
-	case pathCached:
-		return "cached"
-	case pathLockstep:
-		return "lockstep"
-	default:
-		return "scalar"
-	}
-}
-
-// selectPath decides how a group of k same-scenario replications
-// executes. Tracing observes runs in-line and always forces the scalar
-// path; the cache composes with every path, so pathCached is reported
-// only when no batching applies.
-func selectPath(cfg Config, sc scenario.Scenario, proto scenario.Protocol, k int) execPath {
-	opt := scenario.Opts{Cache: cfg.Cache}
-	if cfg.Trace == nil && !cfg.NoLockstep && k >= 4 && lockstep.Eligible(sc, proto, opt) {
-		return pathLockstep
-	}
-	if cfg.Cache != nil {
-		if _, ok := scenario.CacheKey(sc, proto, opt); ok {
-			return pathCached
-		}
-	}
-	return pathScalar
-}
-
 // replicateGrid evaluates a protocol × seed grid over one scenario —
-// protocol-major, seeds contiguous (results[pi*runs+s], seed BaseSeed+s)
-// — routing each protocol's replication block through selectPath: a
-// lockstep-eligible block runs as one lane batch, everything else takes
-// the scalar worker-pool path. Results are bit-identical either way.
+// protocol-major, seeds contiguous (results[pi*runs+s], seed BaseSeed+s).
 func replicateGrid(cfg Config, sc scenario.Scenario, protos []scenario.Protocol, runs int) []scenario.Result {
-	lanes := false
-	for _, p := range protos {
-		if selectPath(cfg, sc, p, runs) == pathLockstep {
-			lanes = true
-			break
-		}
-	}
-	if !lanes {
-		return repeatRuns(cfg, len(protos)*runs, func(j int, opt scenario.Opts) scenario.Result {
-			opt.Seed = cfg.BaseSeed + int64(j%runs)
-			return scenario.Run(sc, protos[j/runs], opt)
-		})
-	}
-	seeds := make([]int64, runs)
-	for s := range seeds {
-		seeds[s] = cfg.BaseSeed + int64(s)
-	}
-	groups := runner.Map(cfg.pool(), len(protos), func(pi int) []scenario.Result {
-		p := protos[pi]
-		if selectPath(cfg, sc, p, runs) == pathLockstep {
-			return lockstep.Run(sc, p, seeds, scenario.Opts{Cache: cfg.Cache})
-		}
-		out := make([]scenario.Result, runs)
-		for s := range out {
-			out[s] = scenario.Run(sc, p, scenario.Opts{Seed: seeds[s], Cache: cfg.Cache})
-		}
-		return out
+	return repeatRuns(cfg, len(protos)*runs, func(j int, opt scenario.Opts) scenario.Result {
+		opt.Seed = cfg.BaseSeed + int64(j%runs)
+		return scenario.Run(sc, protos[j/runs], opt)
 	})
-	out := make([]scenario.Result, 0, len(protos)*runs)
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	return out
 }
 
 // sweepRuns evaluates each sweep point's eMPTCP scenario over nSeeds

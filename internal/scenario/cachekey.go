@@ -18,12 +18,15 @@ type RunCache = runcache.Cache[Result]
 // NewRunCache returns an empty run cache.
 func NewRunCache() *RunCache { return runcache.New[Result]() }
 
-// keyVersion leads both levels of the key encoding. Bump it whenever
-// the encoding or the fields of a digested type change, so keys — and
-// the results persisted under them by runcache.Store — from the old
-// layout miss instead of replaying under a new meaning.
-// TestCacheKeyGolden pins one key to force the bump.
-const keyVersion = 3
+// KeyVersion leads both levels of the key encoding. Bump it whenever
+// the encoding, the fields of a digested type, or the model's outputs
+// change, so keys — and the results persisted under them by
+// runcache.Store — from an old layout or an old simulator miss instead
+// of replaying under a new meaning. TestCacheKeyGolden pins one key to
+// force the bump for the encoding, and TestKeyVersionPinsModelOutputs in
+// cmd/emptcpsim pins a digest of the quick goldens and a small campaign
+// to force it for the model.
+const KeyVersion = 3
 
 // Tags of the key encoding: one before every leaf and every composite.
 const (
@@ -48,11 +51,10 @@ const (
 //
 // The key has two SHA-256 levels: BaseKey digests the scenario, and
 // RunKey digests that base with the protocol and the run options.
-// Callers that run one scenario many times, such as the campaign grid
-// and lockstep batches, hash the scenario once and each run's tail
-// alone. The per-run RNG is rebuilt from Seed, so equal digests imply
-// bit-identical results; that is what lets the campaign engine key its
-// disk store with it.
+// Callers that run one scenario many times, such as the campaign grid,
+// hash the scenario once and each run's tail alone. The per-run RNG is
+// rebuilt from Seed, so equal digests imply bit-identical results; that
+// is what lets the campaign engine key its disk store with it.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	base, ok := BaseKey(sc)
 	if !ok {
@@ -74,7 +76,7 @@ func BaseKey(sc Scenario) (runcache.Key, bool) {
 		return runcache.Key{}, false
 	}
 	bp := keyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], keyVersion)
+	b := append((*bp)[:0], KeyVersion)
 	b = appendString(b, sc.linkSig)
 	b = appendString(b, sc.Name)
 	b = appendValue(b, reflect.ValueOf(sc.Device))
@@ -102,7 +104,7 @@ func RunKey(base runcache.Key, proto Protocol, opt Opts) (runcache.Key, bool) {
 		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
 	}
 	var buf [64]byte
-	b := append(buf[:0], keyVersion)
+	b := append(buf[:0], KeyVersion)
 	b = append(b, base[:]...)
 	b = appendWord(b, tagInt, uint64(proto))
 	b = appendWord(b, tagInt, uint64(opt.Seed))

@@ -270,7 +270,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 	}
 	for typ, fields := range known {
 		if typ.NumField() != len(fields) {
-			t.Errorf("%v has %d fields, the key covers %d: encode the new one in BaseKey or RunKey, bump keyVersion and add it to TestCacheKeyLeafFlip", typ, typ.NumField(), len(fields))
+			t.Errorf("%v has %d fields, the key covers %d: encode the new one in BaseKey or RunKey, bump KeyVersion and add it to TestCacheKeyLeafFlip", typ, typ.NumField(), len(fields))
 			continue
 		}
 		for i, f := range fields {
@@ -282,7 +282,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 }
 
 // TestCacheKeyGolden pins the key of one reference run. A change to the
-// encoding or to a digested type's fields moves it: bump keyVersion,
+// encoding or to a digested type's fields moves it: bump KeyVersion,
 // then update the hex here.
 func TestCacheKeyGolden(t *testing.T) {
 	sc := StaticLab(energy.GalaxyS3(), 6, 4.5, workload.FileDownload{Size: 16 * units.MB})

@@ -107,8 +107,8 @@ func TestSplitEquality(t *testing.T) {
 // FuzzSeedMatchesStdlib checks the on-demand seed derivation against
 // math/rand for arbitrary seeds, on a state that already drew prevDraws
 // values from prevSeed: the first 1,000 draws after re-seeding with seed
-// must equal rand.NewSource(seed)'s. Pooled Sources and lockstep lanes
-// re-seed used states, whose stale words must never be read. The corpus
+// must equal rand.NewSource(seed)'s. Pooled Sources re-seed used
+// states, whose stale words must never be read. The corpus
 // puts prevDraws at the chunk edges, at the draws where the tap leaves
 // its region (272/273) and the feed wraps (333/334), at a full lap
 // (606/607) and beyond it.
