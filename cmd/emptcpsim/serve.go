@@ -28,8 +28,8 @@ func logRunStats(stderr io.Writer, store *runcache.Store) {
 	fmt.Fprintf(stderr, "runcache store: %d gets, %d hits, %d puts\n", gets, hits, puts)
 }
 
-// openStore opens the persistent run cache, or returns nil (in-memory
-// only) for an empty dir.
+// openStore opens the persistent run cache, or returns nil (no store)
+// for an empty dir.
 func openStore(dir string, stderr io.Writer) (*runcache.Store, int) {
 	if dir == "" {
 		return nil, 0
@@ -51,7 +51,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emptcpsim serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8383", "listen address")
-	cacheDir := fs.String("cachedir", "", "persistent run-cache directory (empty: in-memory only, no resume)")
+	cacheDir := fs.String("cachedir", "", "persistent run-cache directory (empty: none)")
 	jobs := fs.Int("j", runtime.NumCPU(), "worker count per campaign")
 	token := fs.String("token", "", "require this bearer token on every route except /healthz")
 	leaseTTL := fs.Duration("lease-ttl", campaign.DefaultLeaseTTL, "shard-lease expiry for remote workers")
@@ -96,7 +96,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	hs := &http.Server{Handler: srv.Handler()}
 	cache := *cacheDir
 	if cache == "" {
-		cache = "in-memory"
+		cache = "none"
 	}
 	// The listening line goes to stderr: stdout belongs to results.
 	fmt.Fprintf(stderr, "emptcpsim serve: listening on http://%s (cache %s, -j %d)\n", ln.Addr(), cache, *jobs)

@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // fakeClock is an injectable lease clock.
@@ -235,7 +239,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 
 	// Coordinator-only: every shard must travel the lease protocol and
 	// the wire codec, so remote participation is total, not a race.
-	j, err := New(spec, Options{Jobs: 1, NoLocalExec: true})
+	j, err := New(spec, Options{Jobs: 1, noLocalExec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,6 +542,19 @@ func TestServerShardEndpointValidation(t *testing.T) {
 		f(&b.cells[0])
 		return b
 	}
+	if c := &a.cells[0]; c.energy.N == 0 || c.dltime.N == 0 {
+		t.Fatalf("shard 0 cell 0 has %d energy and %d time samples; the moment rows need both", c.energy.N, c.dltime.N)
+	}
+	// moments tampers one moment of a stream, keeping its count.
+	moments := func(st func(c *cellAcc) *stats.Stream, f func(mean, m2, mn, mx *float64)) *agg {
+		return tamper(func(c *cellAcc) {
+			n, mean, m2, mn, mx := st(c).Moments()
+			f(&mean, &m2, &mn, &mx)
+			*st(c) = stats.StreamFromMoments(n, mean, m2, mn, mx)
+		})
+	}
+	energy := func(c *cellAcc) *stats.Stream { return &c.energy }
+	dltime := func(c *cellAcc) *stats.Stream { return &c.dltime }
 	for _, bad := range []struct {
 		name string
 		agg  *agg
@@ -548,6 +565,13 @@ func TestServerShardEndpointValidation(t *testing.T) {
 		{"energy n != runs", tamper(func(c *cellAcc) { c.energy.N-- })},
 		{"time n != completed", tamper(func(c *cellAcc) { c.dltime.N++ })},
 		{"J/B n > runs", tamper(func(c *cellAcc) { c.jpb.N = c.runs + 1 })},
+		{"energy mean NaN", moments(energy, func(mean, _, _, _ *float64) { *mean = math.NaN() })},
+		{"energy m2 +Inf", moments(energy, func(_, m2, _, _ *float64) { *m2 = math.Inf(1) })},
+		{"energy min -Inf", moments(energy, func(_, _, mn, _ *float64) { *mn = math.Inf(-1) })},
+		{"time max NaN", moments(dltime, func(_, _, _, mx *float64) { *mx = math.NaN() })},
+		{"energy m2 < 0", moments(energy, func(_, m2, _, _ *float64) { *m2 = -1 })},
+		{"energy mean < min", moments(energy, func(mean, _, mn, _ *float64) { *mean = *mn - 1 })},
+		{"time mean > max", moments(dltime, func(mean, _, _, mx *float64) { *mean = *mx + 1 })},
 	} {
 		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(digest, 0, hi-lo, 0, 0, bad.agg)); code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", bad.name, code)
@@ -559,6 +583,69 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	}
 	if code := post("/campaigns/"+p.ID+"/shards/0/renew", nil); code != http.StatusGone {
 		t.Fatalf("renew on done campaign = %d, want 410", code)
+	}
+}
+
+// TestHonestShardsPassValidation is the converse of the rejection rows
+// above: checkShard refuses no frame a correct worker sends. It covers
+// every shard of the test grid through the wire codec, and streams
+// built by random sequences of Stream.Add and Stream.Merge over samples
+// of mixed sign, magnitude and multiplicity.
+func TestHonestShardsPassValidation(t *testing.T) {
+	spec := smallSpec()
+	spec.ShardSize = 3 // shards that straddle cells
+	j, err := New(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jspec := j.Spec()
+	digest, _ := jspec.Digest()
+	for s := uint64(0); s < j.exec.nShards(); s++ {
+		a, err := j.exec.foldShard(s, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := j.exec.shardRange(s)
+		rep, err := decodeShardAgg(encodeShardAgg(digest, s, hi-lo, 0, 0, a), j.g.cells())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.exec.checkShard(s, rep.agg); err != nil {
+			t.Errorf("honest shard %d refused: %v", s, err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	sample := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return float64(rng.Intn(3)) // repeats
+		case 1:
+			return 1 + float64(rng.Intn(4))*0x1p-52 // one ulp apart
+		case 2:
+			return math.Pow(10, rng.Float64()*18-12) // 1e-12 to 1e6
+		default:
+			return -100 * rng.ExpFloat64()
+		}
+	}
+	var build func(depth int) stats.Stream
+	build = func(depth int) stats.Stream {
+		var st stats.Stream
+		for k := rng.Intn(24); k > 0; k-- {
+			if depth > 0 && rng.Intn(3) == 0 {
+				st.Merge(build(depth - 1))
+			} else {
+				st.Add(sample())
+			}
+			if !validMoments(&st) {
+				n, mean, m2, mn, mx := st.Moments()
+				t.Fatalf("honest stream refused: n=%d mean=%g m2=%g min=%g max=%g", n, mean, m2, mn, mx)
+			}
+		}
+		return st
+	}
+	for trial := 0; trial < 2000; trial++ {
+		build(3)
 	}
 }
 

@@ -38,14 +38,13 @@ type Options struct {
 	// (default DefaultLeaseTTL). A remote worker that stops renewing
 	// for this long loses its shard to reassignment.
 	LeaseTTL time.Duration
-	// NoLocalExec makes Execute a pure coordinator: it spawns no local
-	// folding workers and every shard must arrive through the lease
-	// protocol (CompleteShard). Cancel still works; the output bytes
-	// are identical to any other execution shape.
-	NoLocalExec bool
 
 	// now overrides the lease clock in tests.
 	now func() time.Time
+	// noLocalExec makes Execute a pure coordinator in tests: it spawns
+	// no local folding workers, so every shard must arrive through the
+	// lease protocol (CompleteShard).
+	noLocalExec bool
 }
 
 // Progress is a point-in-time snapshot of a job, JSON-shaped for the
@@ -200,8 +199,8 @@ func (e *executor) keyAt(i uint64) (runcache.Key, bool) {
 // in index order. onRun fires after each folded run (progress
 // accounting); stop is polled between runs and, when it fires, foldShard
 // returns (nil, nil) — deliver nothing, the shard stays unfinished. A
-// panic anywhere in a run (engine bug, poisoned flight) converts to an
-// error rather than crashing the process.
+// panic anywhere in a run (an engine bug, re-panicked in every waiter
+// of its flight) converts to an error rather than crashing the process.
 func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -315,6 +314,9 @@ func New(spec Spec, opts Options) (*Job, error) {
 	if opts.Jobs <= 0 {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
+	if opts.LeaseTTL <= 0 {
+		opts.LeaseTTL = DefaultLeaseTTL
+	}
 	exec := newExecutor(g, opts.Disk)
 	return &Job{
 		g:        g,
@@ -377,7 +379,7 @@ func (j *Job) Execute() error {
 	nShards := j.exec.nShards()
 	j.exec.memoizeKeys(j.opts.Jobs)
 
-	if !j.opts.NoLocalExec {
+	if !j.opts.noLocalExec {
 		var wg sync.WaitGroup
 		for w := 0; w < j.opts.Jobs; w++ {
 			wg.Add(1)
@@ -508,17 +510,13 @@ func (j *Job) Lease(worker string) (g LeaseGrant, ok, gone bool) {
 		return LeaseGrant{}, false, false
 	}
 	lo, hi := j.exec.shardRange(s)
-	ttl := j.opts.LeaseTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	return LeaseGrant{
 		Campaign: j.id,
 		Shard:    s,
 		Lo:       lo,
 		Hi:       hi,
 		Token:    token,
-		TTLMs:    ttl.Milliseconds(),
+		TTLMs:    j.opts.LeaseTTL.Milliseconds(),
 	}, true, false
 }
 

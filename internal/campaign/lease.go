@@ -76,9 +76,6 @@ type leaseTable struct {
 }
 
 func newLeaseTable(nShards uint64, ttl time.Duration, now func() time.Time) *leaseTable {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	if now == nil {
 		now = time.Now
 	}

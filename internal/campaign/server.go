@@ -10,8 +10,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
-
-	"repro/internal/runcache"
 )
 
 // Server is the campaign control plane behind `emptcpsim serve`: an
@@ -52,15 +50,9 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer builds a server executing campaigns one at a time (each
-// job already parallelises across cores) against the given disk store.
-// jobs ≤ 0 means GOMAXPROCS workers per campaign. NewServerOpts passes
-// the full execution options through (escape hatches included).
-func NewServer(disk *runcache.Store, jobs int) *Server {
-	return NewServerOpts(Options{Disk: disk, Jobs: jobs})
-}
-
-// NewServerOpts is NewServer with every campaign execution option.
+// NewServerOpts builds a server executing campaigns one at a time
+// (each job already parallelises across cores) with the given execution
+// options, which every submitted campaign shares.
 func NewServerOpts(opts Options) *Server {
 	s := &Server{
 		opts: opts,
@@ -335,9 +327,10 @@ const maxShardBody = 64 << 20
 
 // handleShard accepts one shard's aggregate bytes from a worker. The
 // payload is validated structurally (crc, magic, cell count), then
-// against the campaign (digest, shard index vs URL, run counts per
-// cell) before the first-write-wins merge. Duplicates are acknowledged
-// as such — the worker did nothing wrong, someone else was just faster.
+// against the campaign (digest, shard index vs URL, run counts and
+// moments per cell) before the first-write-wins merge. Duplicates are
+// acknowledged as such — the worker did nothing wrong, someone else was
+// just faster.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -376,7 +369,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: shard %d claims %d runs", shard, rep.runs))
 		return
 	}
-	if err := j.exec.checkCounts(shard, rep.agg); err != nil {
+	if err := j.exec.checkShard(shard, rep.agg); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -409,11 +402,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, fmt.Errorf("campaign: lease on shard %d lost", shard))
 		return
 	}
-	ttl := j.opts.LeaseTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{"ttl_ms": ttl.Milliseconds()})
+	writeJSON(w, http.StatusOK, map[string]int64{"ttl_ms": j.opts.LeaseTTL.Milliseconds()})
 }
 
 // Statz is the process-wide observability snapshot behind GET /statz.

@@ -78,7 +78,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store, 2)
+	srv := NewServerOpts(Options{Disk: store, Jobs: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -174,7 +174,7 @@ func TestServerShutdownResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store, 1)
+	srv := NewServerOpts(Options{Disk: store, Jobs: 1})
 	ts := httptest.NewServer(srv.Handler())
 
 	code, p := postSpec(t, ts, spec)
@@ -218,7 +218,7 @@ func TestServerShutdownResume(t *testing.T) {
 	if persisted == 0 {
 		t.Fatal("shutdown persisted nothing")
 	}
-	srv2 := NewServer(store2, 2)
+	srv2 := NewServerOpts(Options{Disk: store2, Jobs: 2})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -252,7 +252,7 @@ func TestServerResultConflict(t *testing.T) {
 	spec := smallSpec()
 	spec.Seeds.Count = 2000 // long enough to still be running when probed
 
-	srv := NewServer(nil, 1)
+	srv := NewServerOpts(Options{Jobs: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -332,7 +332,7 @@ func TestServerQueueFullLeavesNoJob(t *testing.T) {
 }
 
 func TestServerClosedRejectsSubmit(t *testing.T) {
-	srv := NewServer(nil, 1)
+	srv := NewServerOpts(Options{Jobs: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if err := srv.Close(); err != nil {

@@ -79,12 +79,13 @@ func encodeShardAgg(digest [32]byte, shard, runs, simulated, diskHits uint64, a 
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// checkCounts rejects a decoded aggregate that foldShard cannot have
+// checkShard rejects a decoded aggregate that foldShard cannot have
 // produced for shard s: each cell must hold exactly the shard's runs
 // that the grid decodes into it, and keep the invariants cellAcc.add
-// maintains. The crc proves only that the bytes arrived as sent; this
-// proves that they count the runs the coordinator assigned.
-func (e *executor) checkCounts(s uint64, a *agg) error {
+// and stats.Stream maintain. The crc proves only that the bytes arrived
+// as sent; this proves that they count the runs the coordinator
+// assigned, with moments the canonical aggregates can publish.
+func (e *executor) checkShard(s uint64, a *agg) error {
 	lo, hi := e.shardRange(s)
 	want := make([]uint64, len(a.cells))
 	for i := lo; i < hi; i++ {
@@ -100,9 +101,27 @@ func (e *executor) checkCounts(s uint64, a *agg) error {
 		case c.energy.N != c.runs || c.dltime.N != c.completed || c.jpb.N > c.runs:
 			return fmt.Errorf("campaign: shard %d cell %d has %d energy, %d time and %d J/B samples for %d runs, %d completed",
 				s, i, c.energy.N, c.dltime.N, c.jpb.N, c.runs, c.completed)
+		case !validMoments(&c.energy) || !validMoments(&c.dltime) || !validMoments(&c.jpb):
+			return fmt.Errorf("campaign: shard %d cell %d has a stream with non-finite moments, m2 < 0 or a mean outside [min, max]", s, i)
 		}
 	}
 	return nil
+}
+
+// validMoments reports whether st could come from Stream.Add and
+// Stream.Merge over finite samples: empty, or finite moments with
+// m2 ≥ 0 and min ≤ mean ≤ max.
+func validMoments(st *stats.Stream) bool {
+	n, mean, m2, mn, mx := st.Moments()
+	if n == 0 {
+		return true
+	}
+	for _, f := range [...]float64{mean, m2, mn, mx} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return m2 >= 0 && mn <= mean && mean <= mx
 }
 
 // decodeShardAgg parses and validates a shard completion. wantCells

@@ -28,7 +28,7 @@ func TestCacheGoldenOutput(t *testing.T) {
 				}
 			}
 		}
-		if hits, _ := cached.Cache.Stats(); hits == 0 {
+		if hits, _, _ := cached.Cache.FlightStats(); hits == 0 {
 			t.Errorf("jobs=%d: cache never hit; the golden test is not exercising memoization", jobs)
 		}
 	}

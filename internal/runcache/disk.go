@@ -160,11 +160,16 @@ func OpenStore(dir string) (*Store, error) {
 }
 
 // recoverSegment scans one segment sequentially, indexing every intact
-// record and truncating the file at the first torn or corrupt one. The
-// scan reads through a buffer, so the file position runs ahead of off,
-// which counts record lengths; the final Seek puts it back at off,
-// where Put appends.
+// record and truncating the file at the first torn or corrupt one. A
+// header whose length runs past the end of the file is corrupt too: it
+// is never trusted to size a read. The scan reads through a buffer, so
+// the file position runs ahead of off, which counts record lengths; the
+// final Seek puts it back at off, where Put appends.
 func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("runcache: open segment: %w", err)
+	}
 	r := bufio.NewReaderSize(f, recoverBufSize)
 	var off int64
 	hdr := make([]byte, recHeaderSize)
@@ -177,10 +182,13 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 			break
 		}
 		n := binary.LittleEndian.Uint32(hdr[36:40])
-		if cap(val) < int(n)+4 {
-			val = make([]byte, n+4)
+		if int64(n)+4 > fi.Size()-off-recHeaderSize {
+			break
 		}
-		val = val[:n+4]
+		if cap(val) < int(n)+4 {
+			val = make([]byte, int(n)+4)
+		}
+		val = val[:int(n)+4]
 		if _, err := io.ReadFull(r, val); err != nil {
 			break
 		}
@@ -245,15 +253,6 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	}
 	s.nGetHit.Add(1)
 	return v, true, nil
-}
-
-// Has reports whether k is stored, without reading the value.
-func (s *Store) Has(k Key) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.lookup(k)
-	return ok
 }
 
 // Put appends (k, v) to the active segment. Storing a key that is
@@ -353,59 +352,4 @@ func (s *Store) Close() error {
 	s.segs.Store(&[]*os.File{})
 	s.active = nil
 	return first
-}
-
-// Flight is a non-retaining single-flight: concurrent Do calls with the
-// same key run fn once and share its result, and the key is forgotten as
-// soon as the flight lands. It is the coordination layer between the
-// disk store (which persists results) and a campaign's workers (which
-// must not simulate the same key twice concurrently) — unlike Cache it
-// holds no values, so memory stays bounded by the number of in-flight
-// keys, not distinct ones.
-type Flight[V any] struct {
-	mu sync.Mutex
-	m  map[Key]*flightCall[V]
-}
-
-type flightCall[V any] struct {
-	done     chan struct{}
-	val      V
-	panicked any
-}
-
-// NewFlight returns an empty flight group.
-func NewFlight[V any]() *Flight[V] {
-	return &Flight[V]{m: make(map[Key]*flightCall[V])}
-}
-
-// Do returns fn's result for k, running it once across concurrent
-// callers. A panic in fn propagates to every caller of that flight;
-// subsequent calls with the same key start a fresh flight.
-func (g *Flight[V]) Do(k Key, fn func() V) V {
-	g.mu.Lock()
-	if c, ok := g.m[k]; ok {
-		g.mu.Unlock()
-		<-c.done
-		if c.panicked != nil {
-			panic(c.panicked)
-		}
-		return c.val
-	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	g.m[k] = c
-	g.mu.Unlock()
-
-	defer func() {
-		g.mu.Lock()
-		delete(g.m, k)
-		g.mu.Unlock()
-		if r := recover(); r != nil {
-			c.panicked = r
-			close(c.done)
-			panic(r)
-		}
-		close(c.done)
-	}()
-	c.val = fn()
-	return c.val
 }

@@ -2,12 +2,13 @@ package runcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -106,8 +107,9 @@ func TestDiskStoreReopen(t *testing.T) {
 }
 
 // TestDiskStoreTornTailRecovery simulates a crash mid-append: bytes
-// chopped off the segment tail, and garbage appended after valid
-// records. Recovery must keep every intact record and truncate the rest.
+// chopped off the segment tail, and a last record whose length field
+// claims more bytes than the file holds. Recovery must keep every
+// intact record and truncate the rest.
 func TestDiskStoreTornTailRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -121,17 +123,37 @@ func TestDiskStoreTornTailRecovery(t *testing.T) {
 	} {
 		for _, chop := range []int{1, 3, 7, 20, 39} {
 			t.Run(fmt.Sprintf(tc.name, chop), func(t *testing.T) {
-				tornTailRecovery(t, tc.n, chop, tc.pad)
+				tornTailRecovery(t, tc.n, tc.pad, func(raw []byte, last int) []byte {
+					return raw[:len(raw)-chop]
+				})
 			})
 		}
 	}
+	// Recovery sizes no buffer from an untrusted length: 0xFFFFFFFC
+	// once wrapped to a 0-byte buffer and panicked, and 1 GiB was
+	// allocated before the short read failed.
+	for _, n := range []uint32{0xFFFFFFFC, 1 << 30} {
+		t.Run(fmt.Sprintf("length-%#x", n), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tornTailRecovery(t, 10, "", func(raw []byte, last int) []byte {
+				binary.LittleEndian.PutUint32(raw[last+recHeaderSize-4:], n)
+				return raw
+			})
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+				t.Fatalf("recovery allocated %d MiB for a corrupt length", grew>>20)
+			}
+		})
+	}
 }
 
-// tornTailRecovery writes n records, chops chop bytes off the last one,
-// and checks that reopening keeps the other n−1 and that the last key
-// can be written again: the re-Put lands where recovery left the
-// append position, so it fails unless that is the truncation point.
-func tornTailRecovery(t *testing.T, n, chop int, pad string) {
+// tornTailRecovery writes n records, damages the segment with damage
+// (given the raw bytes and the offset of the last record), and checks
+// that reopening keeps the other n−1 and that the last key can be
+// written again: the re-Put lands where recovery left the append
+// position, so it fails unless that is the truncation point.
+func tornTailRecovery(t *testing.T, n int, pad string, damage func(raw []byte, last int) []byte) {
 	val := func(i int) string { return fmt.Sprintf("v%02d", i) + pad }
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -150,7 +172,9 @@ func tornTailRecovery(t *testing.T, n, chop int, pad string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seg, raw[:len(raw)-chop], 0o644); err != nil {
+	last := n - 1
+	raw = damage(raw, len(raw)-(recHeaderSize+len(val(last))+4))
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,9 +183,8 @@ func tornTailRecovery(t *testing.T, n, chop int, pad string) {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	defer s2.Close()
-	last := n - 1
 	if s2.Len() != last {
-		t.Fatalf("after chopping %dB of the last record: Len=%d want %d", chop, s2.Len(), last)
+		t.Fatalf("after damaging the last record: Len=%d want %d", s2.Len(), last)
 	}
 	for i := 0; i < last; i++ {
 		v, ok, err := s2.Get(testKey(i))
@@ -374,7 +397,7 @@ func TestDiskStoreNilSafe(t *testing.T) {
 	if _, ok, err := s.Get(testKey(1)); ok || err != nil {
 		t.Fatal("nil store should miss")
 	}
-	if s.Has(testKey(1)) || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Fatal("nil store should be empty")
 	}
 	if err := s.Sync(); err != nil {
@@ -385,53 +408,100 @@ func TestDiskStoreNilSafe(t *testing.T) {
 	}
 }
 
-func TestFlightSingleFlight(t *testing.T) {
-	g := NewFlight[int]()
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	const workers = 16
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			v := g.Do(testKey(1), func() int {
-				computes.Add(1)
-				return 7
-			})
-			if v != 7 {
-				t.Errorf("got %d", v)
+// FuzzStoreSegment damages a segment of intact records: it cuts the
+// segment at an offset and appends arbitrary bytes. The records are the
+// parts of vals between zero bytes. Recovery must not panic; it must
+// serve bit-exact, and count, exactly the records that lie wholly
+// before the first damaged byte (a damaged record passes only by
+// forging its crc32); and a Put after reopening must survive another
+// reopen.
+func FuzzStoreSegment(f *testing.F) {
+	badLen := func(n uint32) []byte {
+		h := append(append([]byte{}, diskMagic[:]...), make([]byte, 32)...)
+		return binary.LittleEndian.AppendUint32(h, n)
+	}
+	vals := []byte("alpha\x00\x00bravo-charlie\x00d\x00echo-foxtrot-golf")
+	f.Add(vals, uint16(0xFFFF), []byte(nil))
+	f.Add(vals, uint16(0xFFFF), badLen(0xFFFFFFFC))
+	f.Add(vals, uint16(0xFFFF), append(badLen(1<<30), "short"...))
+	f.Add(vals, uint16(recHeaderSize-4), []byte{0xFC, 0xFF, 0xFF, 0xFF})
+	f.Add(vals, uint16(60), []byte(nil))
+	f.Add(vals, uint16(0xFFFF), bytes.Repeat([]byte{0xFF}, 123))
+	f.Fuzz(func(t *testing.T, vals []byte, cut uint16, tail []byte) {
+		recs := bytes.Split(vals, []byte{0})
+		if len(recs) > 64 {
+			recs = recs[:64]
+		}
+		dir := t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := make([]int, len(recs)) // offset one past each record
+		end := 0
+		for i, v := range recs {
+			if err := s.Put(testKey(i), v); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if n := computes.Load(); n < 1 || n > workers {
-		t.Fatalf("computes=%d", n)
-	}
-	// After the flight lands the key is forgotten: a fresh Do recomputes.
-	before := computes.Load()
-	g.Do(testKey(1), func() int { computes.Add(1); return 7 })
-	if computes.Load() != before+1 {
-		t.Fatal("landed flight should not retain its result")
-	}
-}
+			end += recHeaderSize + len(v) + 4
+			ends[i] = end
+		}
+		s.Close()
 
-func TestFlightPanicPropagatesAndClears(t *testing.T) {
-	g := NewFlight[int]()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
+		seg := filepath.Join(dir, "cache-000001.seg")
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged := raw
+		if int(cut) < len(raw) {
+			damaged = raw[:cut:cut]
+		}
+		damaged = append(damaged, tail...)
+		if err := os.WriteFile(seg, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		firstBad := 0
+		for firstBad < len(raw) && firstBad < len(damaged) && raw[firstBad] == damaged[firstBad] {
+			firstBad++
+		}
+		intact := 0
+		for intact < len(recs) && ends[intact] <= firstBad {
+			intact++
+		}
+
+		check := func(s *Store, extra int) {
+			t.Helper()
+			if s.Len() != intact+extra {
+				t.Fatalf("Len=%d want %d intact records + %d", s.Len(), intact, extra)
 			}
-		}()
-		g.Do(testKey(2), func() int { panic("boom") })
-	}()
-	// The failed flight must not poison later calls.
-	if v := g.Do(testKey(2), func() int { return 3 }); v != 3 {
-		t.Fatalf("got %d after panic, want 3", v)
-	}
+			for i := 0; i < intact; i++ {
+				v, ok, err := s.Get(testKey(i))
+				if err != nil || !ok || !bytes.Equal(v, recs[i]) {
+					t.Fatalf("intact record %d: %q ok=%v err=%v, want %q", i, v, ok, err, recs[i])
+				}
+			}
+		}
+		s2, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(s2, 0)
+		fresh := testKey(1 << 20)
+		if err := s2.Put(fresh, []byte("after recovery")); err != nil {
+			t.Fatal(err)
+		}
+		s2.Close()
+		s3, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s3.Close()
+		check(s3, 1)
+		if v, ok, err := s3.Get(fresh); err != nil || !ok || string(v) != "after recovery" {
+			t.Fatalf("put after recovery lost on reopen: %q ok=%v err=%v", v, ok, err)
+		}
+	})
 }
 
 // BenchmarkStoreGetParallel measures concurrent Get throughput — the

@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,78 +11,86 @@ import (
 // TestFlightStatsConsistentUnderHammer hammers a single key from N
 // goroutines while concurrent readers poll FlightStats, asserting the
 // counters are race-safe (run under -race in CI) and that every observed
-// snapshot is consistent: waits never exceed hits, hits imply a counted
-// miss, and the totals settle to exactly one miss and N−1 hits.
+// snapshot is consistent: waits never exceed hits and hits imply a
+// counted miss. A memo settles to exactly one miss and N−1 hits; a
+// flight computes once per miss and counts every caller once.
 func TestFlightStatsConsistentUnderHammer(t *testing.T) {
 	const (
 		workers = 32
 		rounds  = 50
 	)
-	for round := 0; round < rounds; round++ {
-		c := New[int]()
-		key := Key{byte(round), byte(round >> 8)}
-		var computes atomic.Int64
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				hammer(t, tc.new(), tc.keep, Key{byte(round), byte(round >> 8)}, workers)
+			}
+		})
+	}
+}
 
-		stop := make(chan struct{})
-		var readers sync.WaitGroup
-		for r := 0; r < 4; r++ {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					hits, misses, waits := c.FlightStats()
-					if waits > hits {
-						t.Errorf("torn snapshot: waits=%d > hits=%d", waits, hits)
-						return
-					}
-					if hits > 0 && misses == 0 {
-						t.Errorf("torn snapshot: %d hits with no miss", hits)
-						return
-					}
-					if misses > 1 {
-						t.Errorf("single key computed %d times", misses)
-						return
-					}
+func hammer(t *testing.T, g *Flight[int], keep bool, key Key, workers int) {
+	var computes atomic.Int64
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-		}
-
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				v := c.Do(key, func() int {
-					computes.Add(1)
-					time.Sleep(100 * time.Microsecond) // widen the in-flight window
-					return 42
-				})
-				if v != 42 {
-					t.Errorf("got %d, want 42", v)
+				hits, misses, waits := g.FlightStats()
+				if waits > hits {
+					t.Errorf("torn snapshot: waits=%d > hits=%d", waits, hits)
+					return
 				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		close(stop)
-		readers.Wait()
+				if hits > 0 && misses == 0 {
+					t.Errorf("torn snapshot: %d hits with no miss", hits)
+					return
+				}
+				if keep && misses > 1 {
+					t.Errorf("single key computed %d times", misses)
+					return
+				}
+				runtime.Gosched() // let the callers run between polls
+			}
+		}()
+	}
 
-		if n := computes.Load(); n != 1 {
-			t.Fatalf("compute ran %d times, want 1", n)
-		}
-		hits, misses, waits := c.FlightStats()
-		if misses != 1 || hits != workers-1 {
-			t.Fatalf("settled stats hits=%d misses=%d, want %d and 1", hits, misses, workers-1)
-		}
-		if waits > hits {
-			t.Fatalf("settled waits=%d > hits=%d", waits, hits)
-		}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v := g.Do(key, func() int {
+				computes.Add(1)
+				time.Sleep(100 * time.Microsecond) // widen the in-flight window
+				return 42
+			})
+			if v != 42 {
+				t.Errorf("got %d, want 42", v)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	n := computes.Load()
+	if keep && n != 1 {
+		t.Fatalf("compute ran %d times, want 1", n)
+	}
+	hits, misses, waits := g.FlightStats()
+	if misses != uint64(n) || hits+misses != uint64(workers) {
+		t.Fatalf("settled stats hits=%d misses=%d, want %d computes of %d callers", hits, misses, n, workers)
+	}
+	if waits > hits {
+		t.Fatalf("settled waits=%d > hits=%d", waits, hits)
 	}
 }

@@ -4,7 +4,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// lifetimes lists both Flight constructors; every single-flight test
+// runs once per row.
+var lifetimes = []struct {
+	name string
+	new  func() *Flight[int]
+	keep bool // the constructor keeps landed values
+}{
+	{"memo", NewMemo[int], true},
+	{"flight", NewFlight[int], false},
+}
 
 func key(b byte) Key {
 	var k Key
@@ -13,99 +25,192 @@ func key(b byte) Key {
 	return k
 }
 
+// awaitWaits blocks until n callers are waiting on an in-flight call.
+func awaitWaits(g *Flight[int], n uint64) {
+	for {
+		if _, _, w := g.FlightStats(); w >= n {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestDoMemoizes pins the lifetimes: sequential calls of one key hit a
+// memo and recompute on a flight, and the counters say so.
 func TestDoMemoizes(t *testing.T) {
-	c := New[int]()
-	calls := 0
-	for i := 0; i < 5; i++ {
-		got := c.Do(key(1), func() int { calls++; return 42 })
-		if got != 42 {
-			t.Fatalf("Do = %d, want 42", got)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-	if got := c.Do(key(2), func() int { calls++; return 7 }); got != 7 {
-		t.Fatalf("Do = %d, want 7", got)
-	}
-	if calls != 2 {
-		t.Fatalf("compute ran %d times, want 2", calls)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 4 || misses != 2 {
-		t.Fatalf("Stats = (%d, %d), want (4, 2)", hits, misses)
-	}
-}
-
-func TestDoSingleFlight(t *testing.T) {
-	c := New[int]()
-	var calls atomic.Int32
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]int, 8)
-	// First caller blocks inside fn; the rest must wait, not recompute.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0] = c.Do(key(3), func() int {
-			calls.Add(1)
-			close(started)
-			<-release
-			return 99
-		})
-	}()
-	<-started
-	for i := 1; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.Do(key(3), func() int {
-				calls.Add(1)
-				return -1
-			})
-		}(i)
-	}
-	close(release)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1", n)
-	}
-	for i, r := range results {
-		if r != 99 {
-			t.Fatalf("results[%d] = %d, want 99", i, r)
-		}
-	}
-}
-
-func TestDoPanicPropagates(t *testing.T) {
-	c := New[int]()
-	boom := func() int { panic("boom") }
-	for i := 0; i < 2; i++ {
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Fatalf("call %d: recovered %v, want boom", i, r)
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.new()
+			calls := 0
+			for i := 0; i < 5; i++ {
+				if got := g.Do(key(1), func() int { calls++; return 42 }); got != 42 {
+					t.Fatalf("Do = %d, want 42", got)
 				}
-			}()
-			c.Do(key(4), boom)
-			t.Fatalf("call %d: Do returned instead of panicking", i)
-		}()
+			}
+			if got := g.Do(key(2), func() int { calls++; return 7 }); got != 7 {
+				t.Fatalf("Do = %d, want 7", got)
+			}
+			wantCalls, wantHits := 6, uint64(0)
+			if tc.keep {
+				wantCalls, wantHits = 2, 4
+			}
+			if calls != wantCalls {
+				t.Fatalf("compute ran %d times, want %d", calls, wantCalls)
+			}
+			hits, misses, waits := g.FlightStats()
+			if hits != wantHits || misses != uint64(wantCalls) || waits != 0 {
+				t.Fatalf("FlightStats = (%d, %d, %d), want (%d, %d, 0)", hits, misses, waits, wantHits, wantCalls)
+			}
+		})
 	}
 }
 
-func TestNilCacheComputes(t *testing.T) {
-	var c *Cache[string]
-	if got := c.Do(key(5), func() string { return "direct" }); got != "direct" {
-		t.Fatalf("nil Do = %q", got)
+// TestDoSingleFlight parks seven callers on one in-flight call and
+// checks that they share its result instead of computing their own.
+func TestDoSingleFlight(t *testing.T) {
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.new()
+			var calls atomic.Int32
+			release := make(chan struct{})
+			started := make(chan struct{})
+			var wg sync.WaitGroup
+			results := make([]int, 8)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[0] = g.Do(key(3), func() int {
+					calls.Add(1)
+					close(started)
+					<-release
+					return 99
+				})
+			}()
+			<-started
+			for i := 1; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i] = g.Do(key(3), func() int {
+						calls.Add(1)
+						return -1
+					})
+				}(i)
+			}
+			awaitWaits(g, 7)
+			close(release)
+			wg.Wait()
+			if n := calls.Load(); n != 1 {
+				t.Fatalf("compute ran %d times, want 1", n)
+			}
+			for i, r := range results {
+				if r != 99 {
+					t.Fatalf("results[%d] = %d, want 99", i, r)
+				}
+			}
+			if hits, misses, waits := g.FlightStats(); hits != 7 || misses != 1 || waits != 7 {
+				t.Fatalf("FlightStats = (%d, %d, %d), want (7, 1, 7)", hits, misses, waits)
+			}
+		})
 	}
-	if c.Len() != 0 {
-		t.Fatalf("nil Len = %d", c.Len())
+}
+
+// TestFlightSingleFlight releases sixteen callers of one key at once,
+// with no ordering: they compute at least once, a memo exactly once,
+// and every caller is counted as a hit or a miss.
+func TestFlightSingleFlight(t *testing.T) {
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.new()
+			var computes atomic.Int64
+			var wg sync.WaitGroup
+			const workers = 16
+			start := make(chan struct{})
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if v := g.Do(key(1), func() int { computes.Add(1); return 7 }); v != 7 {
+						t.Errorf("got %d", v)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			n := computes.Load()
+			if n < 1 || n > workers || (tc.keep && n != 1) {
+				t.Fatalf("computes=%d", n)
+			}
+			if hits, misses, _ := g.FlightStats(); misses != uint64(n) || hits+misses != workers {
+				t.Fatalf("hits=%d misses=%d for %d computes of %d callers", hits, misses, n, workers)
+			}
+		})
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("nil Stats = (%d, %d)", h, m)
+}
+
+// TestDoPanicPropagates panics inside a call with seven callers waiting
+// on it: each of them re-panics with the same value.
+func TestDoPanicPropagates(t *testing.T) {
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.new()
+			release := make(chan struct{})
+			started := make(chan struct{})
+			var wg sync.WaitGroup
+			recovered := make([]any, 8)
+			do := func(i int, fn func() int) {
+				defer wg.Done()
+				defer func() { recovered[i] = recover() }()
+				g.Do(key(4), fn)
+			}
+			wg.Add(1)
+			go do(0, func() int {
+				close(started)
+				<-release
+				panic("boom")
+			})
+			<-started
+			for i := 1; i < 8; i++ {
+				wg.Add(1)
+				go do(i, func() int { return -1 })
+			}
+			awaitWaits(g, 7)
+			close(release)
+			wg.Wait()
+			for i, r := range recovered {
+				if r != "boom" {
+					t.Fatalf("caller %d recovered %v, want boom", i, r)
+				}
+			}
+		})
+	}
+}
+
+// TestFlightPanicPropagatesAndClears checks that a panicking call is
+// forgotten in both lifetimes: the next call of its key computes.
+func TestFlightPanicPropagatesAndClears(t *testing.T) {
+	for _, tc := range lifetimes {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.new()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				g.Do(key(2), func() int { panic("boom") })
+			}()
+			if v := g.Do(key(2), func() int { return 3 }); v != 3 {
+				t.Fatalf("got %d after panic, want 3", v)
+			}
+			want := 4
+			if tc.keep {
+				want = 3
+			}
+			if v := g.Do(key(2), func() int { return 4 }); v != want {
+				t.Fatalf("got %d once a value landed, want %d", v, want)
+			}
+		})
 	}
 }

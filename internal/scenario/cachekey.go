@@ -13,10 +13,10 @@ import (
 // RunCache memoizes Results across experiments. Sharing one cache
 // between all the tables of a suite lets overlapping grids — shared
 // baselines, repeated ablation arms — simulate each distinct run once.
-type RunCache = runcache.Cache[Result]
+type RunCache = runcache.Flight[Result]
 
-// NewRunCache returns an empty run cache.
-func NewRunCache() *RunCache { return runcache.New[Result]() }
+// NewRunCache returns an empty run cache that keeps every Result.
+func NewRunCache() *RunCache { return runcache.NewMemo[Result]() }
 
 // KeyVersion leads both levels of the key encoding. Bump it whenever
 // the encoding, the fields of a digested type, or the model's outputs
