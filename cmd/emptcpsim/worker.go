@@ -91,8 +91,8 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 	w.Run(ctx) // returns only on signal
 
 	exit := 0
-	fmt.Fprintf(stderr, "emptcpsim worker: done %d shards (%d duplicates, %d leases lost)\n",
-		w.ShardsDone.Load(), w.Duplicates.Load(), w.LeasesLost.Load())
+	fmt.Fprintf(stderr, "emptcpsim worker: done %d shards (%d duplicates, %d leases lost, %d refused for another model version)\n",
+		w.ShardsDone.Load(), w.Duplicates.Load(), w.LeasesLost.Load(), w.Refused.Load())
 	logRunStats(stderr, store)
 	if err := store.Close(); err != nil {
 		fmt.Fprintln(stderr, err)

@@ -20,6 +20,8 @@ import (
 // The version byte guards the layout and the interface count guards
 // the ByIface array: a record written by an older binary with either
 // mismatched is treated as a cache miss (re-simulate), never as data.
+// The two booleans must be 0 or 1, so every record decodeResult accepts
+// is exactly the bytes encodeResult writes for the Result it returns.
 
 const (
 	codecVersion = 1
@@ -77,7 +79,11 @@ func decodeResult(b []byte) (scenario.Result, error) {
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
 	r.Protocol = scenario.Protocol(u64())
-	r.Completed = u64() != 0
+	completed := u64()
+	if completed > 1 || b[len(b)-1] > 1 {
+		return scenario.Result{}, fmt.Errorf("campaign: result record has a boolean that is neither 0 nor 1")
+	}
+	r.Completed = completed == 1
 	r.CompletionTime = f64()
 	r.Elapsed = f64()
 	r.Energy = units.Energy(f64())

@@ -9,11 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -141,7 +143,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := e.shardRange(s)
-		payloads = append(payloads, encodeShardAgg(digest, s, hi-lo, 7, 3, a))
+		payloads = append(payloads, encodeShardAgg(scenario.KeyVersion, digest, s, hi-lo, 7, 3, a))
 	}
 
 	// Decoding and merging the wire forms reproduces the reference
@@ -223,7 +225,7 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 			return
 		}
 		sim, hits := e.counterDelta()
-		rep, err := decodeShardAgg(encodeShardAgg(digest, grant.Shard, grant.Hi-grant.Lo, sim, hits, a), g2.cells())
+		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, grant.Shard, grant.Hi-grant.Lo, sim, hits, a), g2.cells())
 		if err != nil {
 			t.Error(err)
 			return
@@ -517,7 +519,7 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	jspec := j.Spec()
 	digest, _ := jspec.Digest()
 	lo, hi := j.exec.shardRange(0)
-	payload := encodeShardAgg(digest, 0, hi-lo, 0, 0, a)
+	payload := encodeShardAgg(scenario.KeyVersion, digest, 0, hi-lo, 0, 0, a)
 	if code := post("/campaigns/"+p.ID+"/shards/0", payload); code != http.StatusGone {
 		t.Fatalf("completion on done campaign = %d, want 410", code)
 	}
@@ -573,16 +575,183 @@ func TestServerShardEndpointValidation(t *testing.T) {
 		{"energy mean < min", moments(energy, func(mean, _, mn, _ *float64) { *mean = *mn - 1 })},
 		{"time mean > max", moments(dltime, func(mean, _, _, mx *float64) { *mean = *mx + 1 })},
 	} {
-		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(digest, 0, hi-lo, 0, 0, bad.agg)); code != http.StatusBadRequest {
+		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(scenario.KeyVersion, digest, 0, hi-lo, 0, 0, bad.agg)); code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", bad.name, code)
 		}
 	}
 	// Lease and renew on a finished campaign: gone.
-	if code := post("/campaigns/"+p.ID+"/lease", nil); code != http.StatusGone {
+	if code := post("/campaigns/"+p.ID+"/lease?model_version="+strconv.Itoa(scenario.KeyVersion), nil); code != http.StatusGone {
 		t.Fatalf("lease on done campaign = %d, want 410", code)
 	}
 	if code := post("/campaigns/"+p.ID+"/shards/0/renew", nil); code != http.StatusGone {
 		t.Fatalf("renew on done campaign = %d, want 410", code)
+	}
+}
+
+// A worker built from another model gets 409 for its lease requests and
+// its shard frames, with both versions in the body, before any campaign
+// state is consulted.
+func TestServerShardModelVersionMismatch(t *testing.T) {
+	srv := NewServerOpts(Options{Jobs: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, p := postSpec(t, ts, smallSpec())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitDone(t, ts, p.ID)
+
+	other := scenario.KeyVersion + 1
+	post := func(path string, body []byte) (int, string) {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	j, err := New(smallSpec(), Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := j.exec.foldShard(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jspec := j.Spec()
+	digest, _ := jspec.Digest()
+	lo, hi := j.exec.shardRange(0)
+	code, body := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(byte(other), digest, 0, hi-lo, 0, 0, a))
+	if code != http.StatusConflict {
+		t.Fatalf("frame from model version %d = %d, want 409 (%s)", other, code, body)
+	}
+	for _, v := range []int{scenario.KeyVersion, other} {
+		if !strings.Contains(body, "version "+strconv.Itoa(v)) {
+			t.Errorf("409 body does not name version %d: %s", v, body)
+		}
+	}
+
+	for _, q := range []string{"?model_version=" + strconv.Itoa(other), "", "?worker=w&model_version=x"} {
+		if code, body := post("/campaigns/"+p.ID+"/lease"+q, nil); code != http.StatusConflict {
+			t.Errorf("lease%s = %d, want 409 (%s)", q, code, body)
+		}
+	}
+}
+
+// TestWorkerModelVersionMismatchRefused plays a fleet with one worker
+// built from another model against a coordinator that simulates
+// nothing itself. The stale worker is refused every lease, so it never
+// holds a shard; the honest worker then runs the whole campaign, whose
+// bytes equal the single-process reference.
+func TestWorkerModelVersionMismatchRefused(t *testing.T) {
+	spec := smallSpec()
+	spec.ShardSize = 1
+	ref := runToBytes(t, spec, Options{Jobs: 1})
+
+	srv := NewServerOpts(Options{Jobs: 1, noLocalExec: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	stale, err := NewWorker(WorkerOptions{
+		Coordinator:  ts.URL,
+		Name:         "stale",
+		PollInterval: 2 * time.Millisecond,
+		modelVersion: scenario.KeyVersion + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		stale.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+
+	code, p := postSpec(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for stale.Refused.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stale worker was refused %d times", stale.Refused.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	code, b := getBody(t, ts.URL+"/campaigns/"+p.ID)
+	var mid Progress
+	if err := json.Unmarshal(b, &mid); code != http.StatusOK || err != nil {
+		t.Fatalf("status = %d: %v", code, err)
+	}
+	if mid.RunsDone != 0 || mid.Leases == nil || mid.Leases.Workers != 0 || mid.Leases.Leased != 0 {
+		t.Fatalf("stale worker got work: %+v, leases %+v", mid, mid.Leases)
+	}
+
+	stop := startWorkers(t, ts, 1, WorkerOptions{})
+	defer stop()
+	fin := waitDone(t, ts, p.ID)
+	if fin.Status != StatusDone {
+		t.Fatalf("status %v (%s)", fin.Status, fin.Error)
+	}
+	code, body := getBody(t, ts.URL+"/campaigns/"+p.ID+"/result")
+	if code != http.StatusOK || !bytes.Equal(body, ref) {
+		t.Fatalf("bytes differ from the single-process reference (code %d)", code)
+	}
+	if n := stale.ShardsDone.Load() + stale.Duplicates.Load(); n != 0 {
+		t.Fatalf("stale worker posted %d shards", n)
+	}
+	if fin.Leases.Workers != 1 || fin.RemoteRuns != fin.TotalRuns {
+		t.Fatalf("leases %+v, remote runs %d of %d: want every shard from the one honest worker",
+			fin.Leases, fin.RemoteRuns, fin.TotalRuns)
+	}
+}
+
+// A coordinator that grants a lease without checking the version (one
+// built before the check) is refused by the worker before it fetches
+// the spec or simulates anything.
+func TestWorkerRefusesMismatchedGrant(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		switch {
+		case r.URL.Path == "/campaigns":
+			writeJSON(w, http.StatusOK, []Progress{{ID: "c1", Status: StatusRunning}})
+		case strings.HasSuffix(r.URL.Path, "/lease"):
+			writeJSON(w, http.StatusOK, LeaseGrant{Campaign: "c1", Shard: 0, Lo: 0, Hi: 1, Token: "t", TTLMs: 1000})
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer ts.Close()
+	w, err := NewWorker(WorkerOptions{Coordinator: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.once(context.Background()); err == nil || !strings.Contains(err.Error(), "model version") {
+		t.Fatalf("once = %v, want a model-version refusal", err)
+	}
+	if w.Refused.Load() != 1 {
+		t.Fatalf("refused %d grants, want 1", w.Refused.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range paths {
+		if p != "/campaigns" && !strings.HasSuffix(p, "/lease") {
+			t.Fatalf("worker went on to %s after a mismatched grant", p)
+		}
 	}
 }
 
@@ -606,7 +775,7 @@ func TestHonestShardsPassValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := j.exec.shardRange(s)
-		rep, err := decodeShardAgg(encodeShardAgg(digest, s, hi-lo, 0, 0, a), j.g.cells())
+		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, s, hi-lo, 0, 0, a), j.g.cells())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -511,12 +511,13 @@ func (j *Job) Lease(worker string) (g LeaseGrant, ok, gone bool) {
 	}
 	lo, hi := j.exec.shardRange(s)
 	return LeaseGrant{
-		Campaign: j.id,
-		Shard:    s,
-		Lo:       lo,
-		Hi:       hi,
-		Token:    token,
-		TTLMs:    j.opts.LeaseTTL.Milliseconds(),
+		Campaign:     j.id,
+		Shard:        s,
+		Lo:           lo,
+		Hi:           hi,
+		Token:        token,
+		TTLMs:        j.opts.LeaseTTL.Milliseconds(),
+		ModelVersion: scenario.KeyVersion,
 	}, true, false
 }
 

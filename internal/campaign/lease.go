@@ -33,14 +33,17 @@ type lease struct {
 }
 
 // LeaseGrant is the coordinator's answer to a lease request, JSON-shaped
-// for the HTTP protocol.
+// for the HTTP protocol. ModelVersion is the coordinator's
+// scenario.KeyVersion: a worker built from another model refuses the
+// grant before it simulates.
 type LeaseGrant struct {
-	Campaign string `json:"campaign"`
-	Shard    uint64 `json:"shard"`
-	Lo       uint64 `json:"lo"` // first run index of the shard
-	Hi       uint64 `json:"hi"` // one past the last run index
-	Token    string `json:"token"`
-	TTLMs    int64  `json:"ttl_ms"`
+	Campaign     string `json:"campaign"`
+	Shard        uint64 `json:"shard"`
+	Lo           uint64 `json:"lo"` // first run index of the shard
+	Hi           uint64 `json:"hi"` // one past the last run index
+	Token        string `json:"token"`
+	TTLMs        int64  `json:"ttl_ms"`
+	ModelVersion int    `json:"model_version"`
 }
 
 // LeaseState is the lease table's observable snapshot, published by

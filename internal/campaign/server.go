@@ -10,6 +10,8 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+
+	"repro/internal/scenario"
 )
 
 // Server is the campaign control plane behind `emptcpsim serve`: an
@@ -32,8 +34,8 @@ import (
 //	GET  /campaigns/{id}/spec         normalised spec      → 200 Spec
 //	GET  /campaigns/{id}/result       canonical aggregates → 200 JSON / 409 Progress
 //	POST /campaigns/{id}/cancel                            → 202 Progress
-//	POST /campaigns/{id}/lease        lease one shard      → 200 LeaseGrant / 204 / 410
-//	POST /campaigns/{id}/shards/{s}   complete a shard     → 200 {status} / 410
+//	POST /campaigns/{id}/lease        lease one shard      → 200 LeaseGrant / 204 / 409 / 410
+//	POST /campaigns/{id}/shards/{s}   complete a shard     → 200 {status} / 409 / 410
 //	POST /campaigns/{id}/shards/{s}/renew heartbeat        → 200 {ttl_ms} / 410
 //	GET  /statz                       process + lease stats → 200 JSON
 //	GET  /debug/pprof/*               live profiling
@@ -297,14 +299,22 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the requesting worker one shard of the campaign.
 // 200 carries a LeaseGrant; 204 means nothing is available right now
-// (every remaining shard is done or leased — poll again); 410 means the
-// campaign is not running and the worker should drop it.
+// (every remaining shard is done or leased — poll again); 409 means the
+// worker's model_version is not this build's scenario.KeyVersion, so
+// its results would mix two models into one aggregate, and nothing is
+// granted; 410 means the campaign is not running and the worker should
+// drop it.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
 		return
 	}
-	worker := r.URL.Query().Get("worker")
+	q := r.URL.Query()
+	if v := q.Get("model_version"); v != strconv.Itoa(scenario.KeyVersion) {
+		writeError(w, http.StatusConflict, fmt.Errorf("campaign: worker model version %q, coordinator model version %d", v, scenario.KeyVersion))
+		return
+	}
+	worker := q.Get("worker")
 	if worker == "" {
 		worker = "remote/" + r.RemoteAddr
 	}
@@ -326,11 +336,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 const maxShardBody = 64 << 20
 
 // handleShard accepts one shard's aggregate bytes from a worker. The
-// payload is validated structurally (crc, magic, cell count), then
-// against the campaign (digest, shard index vs URL, run counts and
-// moments per cell) before the first-write-wins merge. Duplicates are
-// acknowledged as such — the worker did nothing wrong, someone else was
-// just faster.
+// payload is validated structurally (crc, magic, codec version, cell
+// count), then for its model version (409 when it is not this build's
+// scenario.KeyVersion), then against the campaign (digest, shard index
+// vs URL, run counts and moments per cell) before the first-write-wins
+// merge. Duplicates are acknowledged as such — the worker did nothing
+// wrong, someone else was just faster.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -353,6 +364,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	rep, err := decodeShardAgg(body, j.g.cells())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if rep.model != scenario.KeyVersion {
+		writeError(w, http.StatusConflict, fmt.Errorf("campaign: shard %d is from model version %d, coordinator model version %d", shard, rep.model, scenario.KeyVersion))
 		return
 	}
 	spec := j.Spec()

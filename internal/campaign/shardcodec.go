@@ -15,31 +15,34 @@ import (
 // decodeShardAgg(encodeShardAgg(a)) reproduces the accumulator field
 // for field — which is what makes a remotely-computed shard merge into
 // the campaign total byte-identically to the same shard computed
-// locally. The header carries the campaign digest and shard index so a
-// mis-addressed POST (wrong campaign, wrong shard, version skew) is
-// rejected instead of silently corrupting the merge, and a trailing
+// locally. The header carries the worker's model version
+// (scenario.KeyVersion), the campaign digest and the shard index so a
+// mis-addressed POST (wrong campaign, wrong shard, codec or model skew)
+// is rejected instead of silently corrupting the merge, and a trailing
 // crc32 catches transport truncation before the coordinator trusts any
 // of it.
 //
 // Layout (little-endian):
 //
-//	[4B magic "eMPa"] [1B version] [32B spec digest] [8B shard]
-//	[8B runs] [8B simulated] [8B disk hits] [4B cell count]
+//	[4B magic "eMPa"] [1B codec version] [1B model version]
+//	[32B spec digest] [8B shard] [8B runs] [8B simulated]
+//	[8B disk hits] [4B cell count]
 //	cells × cellAccSize [4B crc32 over everything before it]
 
 var shardMagic = [4]byte{'e', 'M', 'P', 'a'}
 
 const (
-	shardCodecVersion = 1
+	shardCodecVersion = 2
 	// runs/completed/lteUsed + 3 streams × (N + 4 float moments).
 	cellAccSize     = (3 + 3*5) * 8
-	shardHeaderSize = 4 + 1 + 32 + 8 + 8 + 8 + 8 + 4
+	shardHeaderSize = 4 + 1 + 1 + 32 + 8 + 8 + 8 + 8 + 4
 )
 
 // shardReport is a decoded shard completion: the aggregate plus the
 // worker's execution counters (informational — they feed Progress, not
 // the merge).
 type shardReport struct {
+	model     byte // the worker's scenario.KeyVersion
 	digest    [32]byte
 	shard     uint64
 	runs      uint64
@@ -57,10 +60,10 @@ func appendStream(b []byte, s *stats.Stream) []byte {
 	return b
 }
 
-func encodeShardAgg(digest [32]byte, shard, runs, simulated, diskHits uint64, a *agg) []byte {
+func encodeShardAgg(model byte, digest [32]byte, shard, runs, simulated, diskHits uint64, a *agg) []byte {
 	b := make([]byte, 0, shardHeaderSize+len(a.cells)*cellAccSize+4)
 	b = append(b, shardMagic[:]...)
-	b = append(b, shardCodecVersion)
+	b = append(b, shardCodecVersion, model)
 	b = append(b, digest[:]...)
 	b = binary.LittleEndian.AppendUint64(b, shard)
 	b = binary.LittleEndian.AppendUint64(b, runs)
@@ -139,13 +142,14 @@ func decodeShardAgg(b []byte, wantCells int) (shardReport, error) {
 	if [4]byte(b[:4]) != shardMagic || b[4] != shardCodecVersion {
 		return r, fmt.Errorf("campaign: shard payload magic/version mismatch")
 	}
-	copy(r.digest[:], b[5:37])
+	r.model = b[5]
+	copy(r.digest[:], b[6:38])
 	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-	r.shard = u64(37)
-	r.runs = u64(45)
-	r.simulated = u64(53)
-	r.diskHits = u64(61)
-	nCells := int(binary.LittleEndian.Uint32(b[69:73]))
+	r.shard = u64(38)
+	r.runs = u64(46)
+	r.simulated = u64(54)
+	r.diskHits = u64(62)
+	nCells := int(binary.LittleEndian.Uint32(b[70:74]))
 	if nCells != wantCells {
 		return r, fmt.Errorf("campaign: shard payload has %d cells, campaign has %d", nCells, wantCells)
 	}

@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/runcache"
+	"repro/internal/scenario"
 )
 
 // Worker is the pull side of the shard-lease protocol: a process (or an
@@ -32,10 +35,13 @@ type Worker struct {
 	execs map[string]*executor // compiled campaign cache, by id
 
 	// ShardsDone / Duplicates / LeasesLost count this worker's
-	// lifetime outcomes, for logging and tests.
+	// lifetime outcomes, for logging and tests. Refused counts lease
+	// requests and grants turned down because the coordinator runs
+	// another model version.
 	ShardsDone atomic.Uint64
 	Duplicates atomic.Uint64
 	LeasesLost atomic.Uint64
+	Refused    atomic.Uint64
 }
 
 // WorkerOptions configures a Worker.
@@ -63,6 +69,11 @@ type WorkerOptions struct {
 	Client *http.Client
 	// Logf, when set, receives progress lines (the CLI wires log.Printf).
 	Logf func(format string, args ...any)
+
+	// modelVersion overrides the scenario.KeyVersion this worker
+	// announces and stamps on its shard frames, so tests can play a
+	// worker built from another model.
+	modelVersion int
 }
 
 // NewWorker builds a worker. Run drives it.
@@ -75,6 +86,9 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 500 * time.Millisecond
+	}
+	if opts.modelVersion == 0 {
+		opts.modelVersion = scenario.KeyVersion
 	}
 	if opts.Name == "" {
 		host, _ := os.Hostname()
@@ -168,6 +182,13 @@ func (w *Worker) once(ctx context.Context) (worked bool, err error) {
 		if !ok {
 			continue
 		}
+		if g.ModelVersion != w.opts.modelVersion {
+			// A coordinator that grants without checking the version:
+			// refuse before simulating. The lease expires unrenewed.
+			w.Refused.Add(1)
+			return true, fmt.Errorf("campaign: %s shard %d granted under model version %d, this worker runs %d",
+				id, g.Shard, g.ModelVersion, w.opts.modelVersion)
+		}
 		if err := w.executeShard(ctx, id, g); err != nil {
 			return true, err
 		}
@@ -241,10 +262,14 @@ func (w *Worker) executorFor(ctx context.Context, id string) (*executor, error) 
 	return e, nil
 }
 
-// lease asks for one shard. ok=false covers both "nothing available"
-// and "campaign gone" — the caller just moves on either way.
+// lease asks for one shard, announcing this worker's model version.
+// ok=false covers both "nothing available" and "campaign gone" — the
+// caller just moves on either way. A coordinator running another model
+// answers 409, which is an error: the worker backs off and never
+// simulates for it.
 func (w *Worker) lease(ctx context.Context, id string) (g LeaseGrant, ok bool, err error) {
-	req, err := w.newRequest(ctx, http.MethodPost, "/campaigns/"+id+"/lease?worker="+w.opts.Name, nil)
+	q := url.Values{"worker": {w.opts.Name}, "model_version": {strconv.Itoa(w.opts.modelVersion)}}
+	req, err := w.newRequest(ctx, http.MethodPost, "/campaigns/"+id+"/lease?"+q.Encode(), nil)
 	if err != nil {
 		return g, false, err
 	}
@@ -261,6 +286,9 @@ func (w *Worker) lease(ctx context.Context, id string) (g LeaseGrant, ok bool, e
 		return g, true, nil
 	case http.StatusNoContent, http.StatusGone:
 		return g, false, nil
+	case http.StatusConflict:
+		w.Refused.Add(1)
+		fallthrough
 	default:
 		return g, false, httpError("lease", resp)
 	}
@@ -326,7 +354,7 @@ func (w *Worker) executeShard(ctx context.Context, id string, g LeaseGrant) erro
 		return err
 	}
 	sim, hits := e.counterDelta()
-	body := encodeShardAgg(digest, g.Shard, g.Hi-g.Lo, sim, hits, a)
+	body := encodeShardAgg(byte(w.opts.modelVersion), digest, g.Shard, g.Hi-g.Lo, sim, hits, a)
 	return w.postShard(ctx, id, g, body)
 }
 

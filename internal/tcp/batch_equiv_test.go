@@ -37,10 +37,11 @@ type batchDigest struct {
 
 // runBatchScenario runs one seeded two-path MPTCP transfer — a WiFi path
 // whose capacity flaps under an on/off modulator (rate-epoch breaks
-// mid-batch), a lossy LTE path (per-round Bernoulli draws), and an
-// MP_PRIO suspend/resume cycle on LTE — with the given round-coalescing
-// cap, and digests the outcome.
-func runBatchScenario(seed int64, lossPct, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool, batchCap int) batchDigest {
+// mid-batch), a lossy LTE path (per-round Bernoulli draws) whose loss
+// probability switches between two levels every flipCs centiseconds
+// until the download completes, and an MP_PRIO suspend/resume cycle on
+// LTE — with the given round-coalescing cap, and digests the outcome.
+func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool, batchCap int) batchDigest {
 	restore := tcp.SetMaxBatchRounds(batchCap)
 	defer restore()
 
@@ -55,7 +56,8 @@ func runBatchScenario(seed int64, lossPct, holdCs, suspendCs uint8, sizeKB uint1
 			units.MbpsRate(1), 0.05+float64(holdCs)/100, true),
 		BaseRTT: 0.02,
 	}
-	loss := float64(lossPct%20) / 100
+	losses := [2]float64{float64(lossPct%20) / 100, float64(loss2Pct%20) / 100}
+	loss := losses[0]
 	ltePath := &tcp.Path{
 		Name:      "lte",
 		Capacity:  link.NewConstant(units.MbpsRate(8)),
@@ -77,6 +79,21 @@ func runBatchScenario(seed int64, lossPct, holdCs, suspendCs uint8, sizeKB uint1
 	suspendAt := 0.1 + float64(suspendCs)/50
 	eng.Schedule(suspendAt, func() { conn.SetBackup(lte, true) })
 	eng.Schedule(suspendAt+0.4, func() { conn.SetBackup(lte, false) })
+
+	// The LTE loss probability switches mid-run, inside and between
+	// batches, so the loss decision rebuilds its per-path constants.
+	flipEvery := 0.02 + float64(flipCs)/100
+	flips := 0
+	var flip func()
+	flip = func() {
+		if doneAt >= 0 {
+			return
+		}
+		flips++
+		loss = losses[flips%2]
+		eng.After(flipEvery, flip)
+	}
+	eng.After(flipEvery, flip)
 
 	eng.Horizon = 120
 	eng.Run()
@@ -107,14 +124,14 @@ func runBatchScenario(seed int64, lossPct, holdCs, suspendCs uint8, sizeKB uint1
 // and the JSONL trace byte stream — to the same run with every round
 // completion going through the event heap.
 func FuzzBatchedRoundEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(512), false)
-	f.Add(int64(2), uint8(5), uint8(20), uint8(10), uint16(1024), true)
-	f.Add(int64(99), uint8(19), uint8(3), uint8(60), uint16(100), false)
-	f.Add(int64(-7), uint8(10), uint8(90), uint8(120), uint16(2000), true)
-	f.Add(int64(424242), uint8(1), uint8(50), uint8(0), uint16(64), false)
-	f.Fuzz(func(t *testing.T, seed int64, lossPct, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool) {
-		batched := runBatchScenario(seed, lossPct, holdCs, suspendCs, sizeKB, disableReset, 64)
-		plain := runBatchScenario(seed, lossPct, holdCs, suspendCs, sizeKB, disableReset, 0)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(512), false)
+	f.Add(int64(2), uint8(5), uint8(2), uint8(10), uint8(20), uint8(10), uint16(1024), true)
+	f.Add(int64(99), uint8(19), uint8(9), uint8(3), uint8(3), uint8(60), uint16(100), false)
+	f.Add(int64(-7), uint8(10), uint8(0), uint8(40), uint8(90), uint8(120), uint16(2000), true)
+	f.Add(int64(424242), uint8(1), uint8(5), uint8(1), uint8(50), uint8(0), uint16(64), false)
+	f.Fuzz(func(t *testing.T, seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool) {
+		batched := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, 64)
+		plain := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, 0)
 		if batched.finalNow != plain.finalNow {
 			t.Errorf("final clock bits differ: batched %x, unbatched %x", batched.finalNow, plain.finalNow)
 		}

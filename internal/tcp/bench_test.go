@@ -113,20 +113,24 @@ func runRounds(tb testing.TB, eng *sim.Engine, sf *Subflow, n int) {
 }
 
 // TestSubflowRoundSteadyStateAllocFree is the CI alloc guard for the
-// fluid TCP model: once established, simulating rounds — plain and under
-// a full trace recorder — performs zero heap allocations.
+// fluid TCP model: once established, simulating rounds — plain, under a
+// full trace recorder, and on a lossy path whose loss probability keeps
+// changing, so the loss decision rebuilds its constants — performs zero
+// heap allocations.
 func TestSubflowRoundSteadyStateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		traced   bool
 		metered  bool
+		lossy    bool
 		batchCap int
 	}{
-		{"plain-unbatched", false, false, 0},
-		{"plain-batched", false, false, 64},
-		{"traced-unbatched", true, false, 0},
-		{"traced-batched", true, false, 64},
-		{"metered-batched", false, true, 64},
+		{"plain-unbatched", false, false, false, 0},
+		{"plain-batched", false, false, false, 64},
+		{"traced-unbatched", true, false, false, 0},
+		{"traced-batched", true, false, false, 64},
+		{"metered-batched", false, true, false, 64},
+		{"lossy-batched", false, false, true, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			restore := SetMaxBatchRounds(tc.batchCap)
@@ -142,6 +146,20 @@ func TestSubflowRoundSteadyStateAllocFree(t *testing.T) {
 				eng.SetRecorder(rec)
 			}
 			path := &Path{Name: "g", Capacity: link.NewConstant(units.MbpsRate(10)), BaseRTT: 0.05}
+			flips := 0
+			if tc.lossy {
+				// The probability flips every 7 rounds between two
+				// collision-loss levels.
+				lps := [2]float64{0.016, 0.048}
+				calls := 0
+				path.ExtraLoss = func() float64 {
+					calls++
+					if calls%7 == 0 {
+						flips++
+					}
+					return lps[calls/7%2]
+				}
+			}
 			var src DataSource = benchSink{}
 			if tc.metered {
 				src = newMeteredSink(eng)
@@ -153,6 +171,9 @@ func TestSubflowRoundSteadyStateAllocFree(t *testing.T) {
 				runRounds(t, eng, sf, maxBatchRounds+1) // at least one full batch
 			}); got != 0 {
 				t.Fatalf("steady-state round allocated %.1f times", got)
+			}
+			if tc.lossy && (path.loss == nil || flips < 100) {
+				t.Fatalf("lossy path flipped its loss probability %d times (constants built: %v)", flips, path.loss != nil)
 			}
 		})
 	}

@@ -13,7 +13,6 @@ package tcp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/link"
 	"repro/internal/sim"
@@ -74,13 +73,19 @@ type Path struct {
 	// modulator/interferer/handover rate flip always breaks the batch even
 	// if it somehow produced no earlier-ordered event. hooked guards the
 	// one-time observer registration.
-	epoch  uint64
-	hooked bool
+	epoch uint64
 
 	// lossProc caches the Capacity's LossProcess assertion: LossProb runs
 	// once per round, and the dynamic type of Capacity never changes over
 	// a Path's lifetime.
-	lossProc    link.LossProcess
+	lossProc link.LossProcess
+
+	// loss holds the round-loss decision's constants, allocated the
+	// first time the path reports a nonzero loss probability, so a
+	// lossless path carries only the pointer.
+	loss *roundLoss
+
+	hooked      bool
 	lossChecked bool
 }
 
@@ -452,15 +457,13 @@ func (sf *Subflow) startRound(deferOK bool) *roundState {
 	// cannot carry a full window per RTT.
 	dur := max(rtt, n.Bits()/float64(share))
 
-	// Random per-packet loss aggregated to a per-round loss event. The
-	// lossless case short-circuits: math.Pow(1, pkts) is exactly 1, so
-	// pRound is exactly 0 and Bernoulli(0) draws nothing either way.
-	var pRound float64
-	if lp := sf.path.LossProb(); lp != 0 {
-		pkts := max(1, float64(n)/float64(sf.cfg.MSS))
-		pRound = 1 - math.Pow(1-lp, pkts)
-	}
-	r.lost = congested || sf.src.Bernoulli(pRound)
+	// Random per-packet loss aggregated to a per-round loss event with
+	// probability 1 − (1 − lp)^pkts. A congested round is lost without a
+	// draw, and a lossless path draws nothing (its probability is exactly
+	// 0); otherwise lostRound takes the one draw and decides it exactly
+	// as Bernoulli(1 - math.Pow(1-lp, pkts)) would (see loss.go).
+	lp := sf.path.LossProb()
+	r.lost = congested || lp != 0 && sf.path.lostRound(sf.src, lp, max(1, float64(n)/float64(sf.cfg.MSS)))
 	r.dur = dur
 	if deferOK {
 		r.def = sf.eng.DeferAfter(dur)
