@@ -122,8 +122,9 @@ func (p RadioParams) FixedOverhead() units.Energy {
 }
 
 // ActivePower returns the radio's power at the given downlink/uplink
-// throughputs while in the active state.
-func (p RadioParams) ActivePower(down, up units.BitRate) units.Power {
+// throughputs while in the active state. The pointer receiver keeps the
+// accountant's per-interval call from copying the whole parameter set.
+func (p *RadioParams) ActivePower(down, up units.BitRate) units.Power {
 	return p.Base +
 		units.Power(down.Mbit())*p.PerMbpsDown +
 		units.Power(up.Mbit())*p.PerMbpsUp

@@ -81,13 +81,10 @@ func TestCommitDeferredDropsInfinite(t *testing.T) {
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired a +Inf slot")
 	}
-	if e.CanFireInline(d) {
-		t.Error("CanFireInline accepted a +Inf slot")
-	}
 }
 
-// The two inline-firing paths must agree: TryFireInline is the fused form
-// of CanFireInline + FireInline.
+// An accepted inline fire advances the clock to the slot and emits exactly
+// the one fire trace event Step would.
 func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 	e := New()
 	rec := &countRecorder{}
@@ -96,9 +93,6 @@ func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 	d := e.DeferAfter(2)
 	if rec.counts[trace.KindSchedule] != 1 {
 		t.Fatalf("schedule events = %d, want 1 from DeferAfter", rec.counts[trace.KindSchedule])
-	}
-	if !e.CanFireInline(d) {
-		t.Fatal("CanFireInline = false with an empty queue")
 	}
 	if !e.TryFireInline(d) {
 		t.Fatal("TryFireInline = false with an empty queue")
@@ -110,13 +104,16 @@ func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 		t.Errorf("fire events = %d, want 1", rec.counts[trace.KindFire])
 	}
 
-	d2 := e.DeferAfter(1)
-	e.FireInline(d2)
-	if e.Now() != 3 {
-		t.Errorf("now = %v after FireInline, want 3", e.Now())
+	d2 := e.DeferAt(3)
+	if !e.TryFireInline(d2) {
+		t.Fatal("TryFireInline = false for an absolute slot on an empty queue")
 	}
-	if rec.counts[trace.KindFire] != 2 {
-		t.Errorf("fire events = %d, want 2", rec.counts[trace.KindFire])
+	if e.Now() != 3 {
+		t.Errorf("now = %v after the second inline fire, want 3", e.Now())
+	}
+	if rec.counts[trace.KindFire] != 2 || rec.counts[trace.KindSchedule] != 2 {
+		t.Errorf("fire/schedule events = %d/%d, want 2/2",
+			rec.counts[trace.KindFire], rec.counts[trace.KindSchedule])
 	}
 }
 
@@ -124,9 +121,6 @@ func TestInlineFireRefusedWhenNotNext(t *testing.T) {
 	e := New()
 	e.Schedule(1, func() {}) // earlier live event
 	d := e.DeferAfter(2)
-	if e.CanFireInline(d) {
-		t.Error("CanFireInline = true with an earlier event queued")
-	}
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired ahead of an earlier event")
 	}
@@ -140,16 +134,13 @@ func TestInlineFireSequenceTieBreak(t *testing.T) {
 	e := New()
 	e.Schedule(2, func() {}) // seq 0
 	d := e.DeferAfter(2)     // seq 1
-	if e.CanFireInline(d) || e.TryFireInline(d) {
+	if e.TryFireInline(d) {
 		t.Error("inline fire won a same-time tie against an earlier sequence")
 	}
 
 	e2 := New()
 	d2 := e2.DeferAfter(2)    // seq 0
 	e2.Schedule(2, func() {}) // seq 1
-	if !e2.CanFireInline(d2) {
-		t.Error("CanFireInline lost a same-time tie it should win (earlier seq)")
-	}
 	if !e2.TryFireInline(d2) {
 		t.Error("TryFireInline lost a same-time tie it should win (earlier seq)")
 	}
@@ -159,9 +150,6 @@ func TestInlineFireRespectsStop(t *testing.T) {
 	e := New()
 	d := e.DeferAfter(1)
 	e.Stop()
-	if e.CanFireInline(d) {
-		t.Error("CanFireInline = true on a stopped engine")
-	}
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired on a stopped engine")
 	}
@@ -170,13 +158,10 @@ func TestInlineFireRespectsStop(t *testing.T) {
 func TestInlineFireRespectsHorizon(t *testing.T) {
 	e := New()
 	e.Horizon = 5
-	if d := e.DeferAfter(4); !e.CanFireInline(d) || !e.TryFireInline(d) {
+	if d := e.DeferAfter(4); !e.TryFireInline(d) {
 		t.Error("inline fire refused inside the horizon")
 	}
 	d := e.DeferAfter(10)
-	if e.CanFireInline(d) {
-		t.Error("CanFireInline = true past the horizon")
-	}
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired past the horizon")
 	}
@@ -209,16 +194,15 @@ func TestTryFireInlineConservativeOnDeadTop(t *testing.T) {
 // next event, and stays queued for the next RunUntil window.
 func TestInlineFireRespectsRunUntilBound(t *testing.T) {
 	e := New()
-	var inside, canInside bool
+	var inside bool
 	firedAt := Time(-1)
 	e.Schedule(1, func() {
 		d := e.DeferAfter(5) // t=6, past the RunUntil(3) bound
-		canInside = e.CanFireInline(d)
 		inside = e.TryFireInline(d)
 		e.CommitDeferred(d, func() { firedAt = e.Now() })
 	})
 	e.RunUntil(3)
-	if canInside || inside {
+	if inside {
 		t.Error("inline fire crossed a RunUntil bound")
 	}
 	if e.Now() != 3 {
@@ -241,9 +225,6 @@ func TestRunUntilRestoresInlineLimit(t *testing.T) {
 	e.Schedule(1, func() {})
 	e.RunUntil(2)
 	d := e.DeferAfter(5) // t=7, past the old bound
-	if !e.CanFireInline(d) {
-		t.Error("CanFireInline still bounded after RunUntil returned")
-	}
 	if !e.TryFireInline(d) {
 		t.Error("TryFireInline still bounded after RunUntil returned")
 	}

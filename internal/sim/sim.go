@@ -13,6 +13,17 @@
 // and event state lives in a free-listed node arena, so steady-state
 // scheduling performs no allocations: a schedule/fire cycle reuses the
 // node and heap slot freed by the previous one.
+//
+// Tickers live beside the heap, not in it: each armed Ticker holds its
+// own (time, seq) slot in a short engine-owned list, and every dispatcher
+// (Step, RunUntil, PeekNext, TryFireInline) takes whichever of the heap
+// top and the earliest ticker comes first under the (time, seq) order.
+// Arming draws the sequence number and emits the schedule trace a heap
+// re-arm would, so dispatch order and traces are those of a ticker that
+// re-arms itself through After. A deferred slot (the batch-window
+// contract, see Deferred) can therefore run inline through meter and
+// controller ticks: TryFireInline fires a ticker that precedes the slot
+// in place and checks again.
 package sim
 
 import (
@@ -101,6 +112,11 @@ type Engine struct {
 	running bool
 	stopped bool
 	rec     trace.Recorder
+	// tickers holds the armed Tickers, in no order; tnext is the one that
+	// fires first under (at, seq), nil when none is armed. The list is
+	// short (a run arms two to four), so disarming scans it.
+	tickers []*Ticker
+	tnext   *Ticker
 	// limit bounds inline (batched) firing while RunUntil is active:
 	// RunUntil(t) must leave events past t queued, and the batcher must
 	// not coalesce the clock past t either. +Inf when no bound applies.
@@ -129,9 +145,9 @@ func (e *Engine) SetRecorder(r trace.Recorder) { e.rec = r }
 //	if rec := eng.Recorder(); rec != nil { rec.Record(...) }
 func (e *Engine) Recorder() trace.Recorder { return e.rec }
 
-// Pending returns how many events are queued (including cancelled ones not
-// yet drained).
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns how many events are queued: heap entries (including
+// cancelled ones not yet drained) plus armed tickers.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.tickers) }
 
 // push adds an entry to the 4-ary heap, sifting up.
 func (e *Engine) push(it entry) {
@@ -246,12 +262,13 @@ func (e *Engine) After(delay float64, fn func()) Event {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to the state of New while keeping the node
-// arena, heap, and free-list capacity, so a pooled engine re-runs without
-// regrowing kernel state. Event handles and Timers from before the reset
-// are stale afterwards: node generations are bumped, so using them is a
-// no-op, exactly like handles to fired events. Only the (at, seq) pair
-// orders events — node indices never do — so a run on a reset engine is
-// bit-identical to one on a fresh engine.
+// arena, heap, free-list and ticker-list capacity, so a pooled engine
+// re-runs without regrowing kernel state. Event handles, Timers and
+// Tickers from before the reset are stale afterwards: node generations
+// are bumped and every ticker is dropped, so using them is a no-op,
+// exactly like handles to fired events. Only the (at, seq) pair orders
+// events — node indices and ticker-list positions never do — so a run on
+// a reset engine is bit-identical to one on a fresh engine.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")
@@ -265,6 +282,12 @@ func (e *Engine) Reset() {
 		nd.dead = false
 		e.free = append(e.free, int32(i))
 	}
+	for i, t := range e.tickers {
+		t.armed = false
+		e.tickers[i] = nil
+	}
+	e.tickers = e.tickers[:0]
+	e.tnext = nil
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -273,15 +296,11 @@ func (e *Engine) Reset() {
 	e.limit = math.Inf(1)
 }
 
-// PeekNext reports the (time, sequence) of the next live event without
-// firing it. Dead (cancelled) entries at the top of the queue are drained
-// on the way, exactly as Step would drain them. ok is false when no live
-// event is pending.
-//
-// Together with Deferred this is the batch-window contract used by the
-// round-coalescing fast path in internal/tcp: a caller may execute a
-// deferred callback inline, without a heap round-trip, exactly when the
-// engine itself would have fired it next (see CanFireInline).
+// PeekNext reports the (time, sequence) of the next live event — the heap
+// top or the earliest armed ticker, whichever comes first — without firing
+// it. Dead (cancelled) entries at the top of the heap are drained on the
+// way, exactly as Step would drain them. ok is false when no live event is
+// pending.
 func (e *Engine) PeekNext() (at Time, seq uint64, ok bool) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
@@ -290,17 +309,23 @@ func (e *Engine) PeekNext() (at Time, seq uint64, ok bool) {
 			e.release(top.idx)
 			continue
 		}
-		return top.at, top.seq, true
+		at, seq, ok = top.at, top.seq, true
+		break
 	}
-	return 0, 0, false
+	if t := e.tnext; t != nil && (!ok || t.before(at, seq)) {
+		return t.at, t.seq, true
+	}
+	return at, seq, ok
 }
 
 // Deferred is a reserved event slot: a fire time plus the sequence number
 // a real Schedule call at reservation time would have consumed. It lets a
 // hot loop (the TCP round batcher) decide after the fact whether to run
-// the callback inline (FireInline) or fall back to the heap
+// the callback inline (TryFireInline) or fall back to the heap
 // (CommitDeferred), while keeping event ordering — which depends only on
 // (time, seq) pairs — bit-identical to the unbatched schedule/fire cycle.
+// This is the batch-window contract: a caller may run a deferred callback
+// inline exactly when the engine itself would have dispatched it next.
 type Deferred struct {
 	at  Time
 	seq uint64
@@ -358,67 +383,50 @@ func (e *Engine) DeferAt(at Time) Deferred {
 	return d
 }
 
-// CanFireInline reports whether the deferred slot is exactly the event
-// the engine would dispatch next: strictly ahead of every pending live
-// event under the (time, seq) order, not cut off by the horizon, and the
-// engine not stopped. When it returns false the caller must CommitDeferred
-// and let the ordinary Run loop take over.
-func (e *Engine) CanFireInline(d Deferred) bool {
-	if e.stopped {
-		return false
-	}
-	if e.Horizon > 0 && d.at > e.Horizon {
-		return false
-	}
-	if d.at > e.limit {
-		// A RunUntil(t) bound: events past t stay queued, so the batcher
-		// must hand the slot back to the heap, not run it inline.
-		return false
-	}
-	if math.IsInf(d.at, 1) {
-		return false
-	}
-	at, seq, ok := e.PeekNext()
-	return !ok || d.at < at || (d.at == at && d.seq < seq)
-}
-
-// FireInline advances the clock to the deferred slot's fire time and
-// emits the fire trace event; the caller runs the callback body itself.
-// The caller must have checked CanFireInline — firing a slot the engine
-// would not have dispatched next breaks causality.
-func (e *Engine) FireInline(d Deferred) {
-	e.now = d.at
-	if e.rec != nil {
-		e.rec.Record(trace.Event{T: e.now, Kind: trace.KindFire})
-	}
-}
-
-// TryFireInline is the batcher's fused fast path: it performs the
-// CanFireInline check and, on success, the FireInline clock advance in a
-// single call. Behaviour is exactly CanFireInline followed by FireInline;
-// the fusion only removes call overhead and duplicate loads from the
-// per-round batch check.
+// TryFireInline reports whether the deferred slot is exactly the event the
+// engine would dispatch next and, if so, advances the clock to it and
+// emits the fire trace event; the caller then runs the callback body
+// itself. The slot must be strictly ahead of the heap top under the
+// (time, seq) order, inside the Horizon and any RunUntil bound, and the
+// engine not stopped. An armed ticker that precedes the slot does not
+// refuse it: the ticker is fired in place, exactly as Step would fire it
+// (clock, fire trace, callback, re-arm), and the checks run again, so a
+// batch runs through meter and controller ticks. When TryFireInline
+// returns false the caller must CommitDeferred and let the ordinary Run
+// loop take over.
 func (e *Engine) TryFireInline(d Deferred) bool {
-	// d.at > MaxFloat64 rejects the +Inf never-firable slot; d.at is never
-	// NaN (DeferAfter panics on NaN delays).
-	if e.stopped || d.at > e.limit || d.at > math.MaxFloat64 {
-		return false
-	}
-	if h := e.Horizon; h > 0 && d.at > h {
-		return false
-	}
-	if len(e.heap) > 0 {
-		// Compare against the raw heap top without draining cancelled
-		// entries: if d precedes even a dead top it precedes everything,
-		// and if a dead top precedes d the refusal is merely conservative
-		// (the slot goes back to the heap and Step drains as usual).
-		// Skipping the liveness lookup keeps the probe free of the
-		// dependent nodes[] load. Sequence numbers are unique, so top
-		// either strictly precedes d or strictly follows it.
-		top := e.heap[0]
-		if top.at < d.at || (top.at == d.at && top.seq < d.seq) {
+	for {
+		// d.at > MaxFloat64 rejects the +Inf never-firable slot; d.at is
+		// never NaN (DeferAfter and DeferAt panic on NaN).
+		if e.stopped || d.at > e.limit || d.at > math.MaxFloat64 {
 			return false
 		}
+		if h := e.Horizon; h > 0 && d.at > h {
+			return false
+		}
+		if len(e.heap) > 0 {
+			// Compare against the raw heap top without draining cancelled
+			// entries: if d precedes even a dead top it precedes every
+			// heap entry, and if a dead top precedes d the refusal is
+			// merely conservative (the slot goes back to the heap and Step
+			// drains as usual). Skipping the liveness lookup keeps the
+			// probe free of the dependent nodes[] load. Sequence numbers
+			// are unique, so top either strictly precedes d or strictly
+			// follows it.
+			top := e.heap[0]
+			if top.at < d.at || (top.at == d.at && top.seq < d.seq) {
+				return false
+			}
+		}
+		t := e.tnext
+		if t == nil || !t.before(d.at, d.seq) {
+			break
+		}
+		// The ticker precedes d, which precedes every heap entry, and
+		// d's bounds hold for the earlier ticker too: it is the engine's
+		// next dispatch. Its callback may stop the engine, move the
+		// horizon or schedule earlier events, hence the loop.
+		e.fireTicker(t)
 	}
 	e.now = d.at
 	if e.rec != nil {
@@ -440,7 +448,7 @@ func (e *Engine) CommitDeferred(d Deferred, fn func()) {
 }
 
 // Step fires the single next event, advancing the clock. It returns false
-// when the queue is empty or only holds events past the horizon.
+// when nothing is pending or the next event lies past the horizon.
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
@@ -449,6 +457,9 @@ func (e *Engine) Step() bool {
 			e.pop()
 			e.release(top.idx)
 			continue
+		}
+		if t := e.tnext; t != nil && t.before(top.at, top.seq) {
+			break // a ticker comes first
 		}
 		if e.Horizon > 0 && top.at > e.Horizon {
 			// Advance the clock to the horizon so callers measuring
@@ -473,7 +484,16 @@ func (e *Engine) Step() bool {
 		fn()
 		return true
 	}
-	return false
+	t := e.tnext
+	if t == nil {
+		return false
+	}
+	if e.Horizon > 0 && t.at > e.Horizon {
+		e.now = e.Horizon
+		return false
+	}
+	e.fireTicker(t)
+	return true
 }
 
 // Run processes events until the queue drains, Stop is called, or the
@@ -501,15 +521,9 @@ func (e *Engine) RunUntil(t Time) Time {
 	prev := e.limit
 	e.limit = t
 	defer func() { e.limit = prev }()
-	for len(e.heap) > 0 {
-		// Drain dead events so the head is live.
-		top := e.heap[0]
-		if e.nodes[top.idx].dead {
-			e.pop()
-			e.release(top.idx)
-			continue
-		}
-		if top.at > t {
+	for {
+		at, _, ok := e.PeekNext()
+		if !ok || at > t {
 			break
 		}
 		if !e.Step() {
@@ -571,14 +585,19 @@ func (t *Timer) Stop() { t.ev.Cancel() }
 // At returns the fire time of the most recent arm (or fired arm).
 func (t *Timer) At() Time { return t.ev.At() }
 
-// Ticker invokes fn every interval seconds until cancelled. The first tick
+// Ticker invokes fn every interval seconds until stopped. The first tick
 // fires one interval from the time Tick is created.
+//
+// An armed ticker sits beside the event heap in the engine's ticker list
+// (see the package doc), so arming and firing it touch neither the heap
+// nor the node arena.
 type Ticker struct {
 	eng      *Engine
-	interval float64
 	fn       func()
-	tick     func() // allocated once; re-armed without a fresh closure
-	ev       Event
+	interval float64
+	at       Time   // fire time of the pending tick, while armed
+	seq      uint64 // sequence number drawn when armed
+	armed    bool
 	stopped  bool
 }
 
@@ -588,27 +607,91 @@ func (e *Engine) Tick(interval float64, fn func()) *Ticker {
 		panic("sim: Tick interval must be positive")
 	}
 	t := &Ticker{eng: e, interval: interval, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	}
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.eng.After(t.interval, t.tick)
+// before reports whether the ticker's pending tick precedes the slot
+// (at, seq) under the engine's (time, seq) order.
+func (t *Ticker) before(at Time, seq uint64) bool {
+	return t.at < at || (t.at == at && t.seq < seq)
 }
 
-// Stop cancels the ticker. The callback will not fire again.
+// arm reserves the next tick one interval from now: the sequence number
+// and schedule trace event of After(interval). Like After, an infinite
+// interval reserves nothing and the ticker never fires again.
+func (t *Ticker) arm() {
+	if math.IsInf(t.interval, 1) {
+		return
+	}
+	e := t.eng
+	t.at = e.now + t.interval
+	t.seq = e.seq
+	e.seq++
+	t.armed = true
+	e.tickers = append(e.tickers, t)
+	if n := e.tnext; n == nil || t.before(n.at, n.seq) {
+		e.tnext = t
+	}
+	if e.rec != nil {
+		e.rec.Record(trace.Event{T: e.now, Kind: trace.KindSchedule, A: t.at})
+	}
+}
+
+// disarm removes an armed ticker from the list and, when it was the
+// earliest, finds the new earliest.
+func (e *Engine) disarm(t *Ticker) {
+	t.armed = false
+	l := e.tickers
+	for i, u := range l {
+		if u == t {
+			last := len(l) - 1
+			l[i] = l[last]
+			l[last] = nil
+			e.tickers = l[:last]
+			break
+		}
+	}
+	if e.tnext != t {
+		return
+	}
+	e.tnext = nil
+	for _, u := range e.tickers {
+		if n := e.tnext; n == nil || u.before(n.at, n.seq) {
+			e.tnext = u
+		}
+	}
+}
+
+// fireTicker dispatches t's pending tick exactly as Step dispatches a heap
+// event (clock, fire trace, callback) and then re-arms it unless the
+// callback stopped it. Re-arming after the callback draws the sequence
+// number after any the callback drew, as a re-arm through After would.
+func (e *Engine) fireTicker(t *Ticker) {
+	e.disarm(t)
+	e.now = t.at
+	if e.rec != nil {
+		e.rec.Record(trace.Event{T: e.now, Kind: trace.KindFire})
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
+}
+
+// Stop cancels the ticker. The callback will not fire again. Stopping an
+// armed ticker emits the cancel trace event Event.Cancel would; stopping
+// it from its own callback, or stopping it twice, emits nothing.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	t.ev.Cancel()
+	if !t.armed {
+		return
+	}
+	e := t.eng
+	e.disarm(t)
+	if e.rec != nil {
+		e.rec.Record(trace.Event{T: e.now, Kind: trace.KindCancel})
+	}
 }
 
 // Interval returns the current ticker period in seconds.

@@ -32,6 +32,7 @@ type batchDigest struct {
 	cwndBits  [2]uint64
 	srttBits  [2]uint64
 	dropped   uint64
+	meter     uint64 // hash of what the tickers saw
 	trace     []byte
 }
 
@@ -39,9 +40,12 @@ type batchDigest struct {
 // whose capacity flaps under an on/off modulator (rate-epoch breaks
 // mid-batch), a lossy LTE path (per-round Bernoulli draws) whose loss
 // probability switches between two levels every flipCs centiseconds
-// until the download completes, and an MP_PRIO suspend/resume cycle on
-// LTE — with the given round-coalescing cap, and digests the outcome.
-func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool, batchCap int) batchDigest {
+// until the download completes, an MP_PRIO suspend/resume cycle on LTE,
+// a 0.1 s meter-like ticker that invalidates both batches on every
+// meterBreak-th tick, and a second ticker with a period of tickCs
+// centiseconds stopped mid-run — with the given round-coalescing cap, and
+// digests the outcome.
+func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool, meterBreak, tickCs uint8, batchCap int) batchDigest {
 	restore := tcp.SetMaxBatchRounds(batchCap)
 	defer restore()
 
@@ -68,17 +72,53 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 	opts := mptcp.DefaultOptions()
 	opts.SubflowConfig.DisableIdleCwndReset = disableReset
 	conn := mptcp.New(eng, src, opts)
-	conn.AddSubflow("wifi", energy.WiFi, wifiPath, nil, 0)
+	wifi := conn.AddSubflow("wifi", energy.WiFi, wifiPath, nil, 0)
 	lte := conn.AddSubflow("lte", energy.LTE, ltePath, nil, 0.02)
 
+	// The meter reads the transfer's progress, as the power monitor
+	// does, so a tick run inline inside a batch must see exactly the
+	// state its heap dispatch saw; every meterBreak-th tick also breaks
+	// both batches, as a radio-state change does. The download's
+	// completion stops it, from inside a round.
+	var meter uint64
+	observe := func(tag uint64) {
+		meter = meter*1099511628211 ^ tag ^ math.Float64bits(eng.Now()) ^ uint64(conn.Delivered())
+	}
+	ticks := 0
+	meterTk := eng.Tick(0.1, func() {
+		observe(1)
+		ticks++
+		if meterBreak > 0 && ticks%int(meterBreak) == 0 {
+			wifi.InvalidateBatch()
+			lte.InvalidateBatch()
+		}
+	})
+
 	var doneAt float64 = -1
-	conn.Download(units.ByteSize(sizeKB%2048+64)*units.KB, func(at float64) { doneAt = at })
+	conn.Download(units.ByteSize(sizeKB%2048+64)*units.KB, func(at float64) {
+		doneAt = at
+		meterTk.Stop()
+	})
 
 	// An MP_PRIO flip lands mid-transfer (and, with a live batch open on
 	// the other subflow, mid-batch), then lifts again later.
 	suspendAt := 0.1 + float64(suspendCs)/50
 	eng.Schedule(suspendAt, func() { conn.SetBackup(lte, true) })
 	eng.Schedule(suspendAt+0.4, func() { conn.SetBackup(lte, false) })
+
+	// The second ticker stops mid-run: from another event at the resume
+	// time, or, for odd tickCs, from its own callback on its tickCs-th
+	// tick.
+	var second *sim.Ticker
+	secondTicks := 0
+	second = eng.Tick(0.01+float64(tickCs)/100, func() {
+		observe(2)
+		secondTicks++
+		if tickCs&1 == 1 && secondTicks == int(tickCs) {
+			second.Stop()
+		}
+	})
+	eng.Schedule(suspendAt+0.4, second.Stop)
 
 	// The LTE loss probability switches mid-run, inside and between
 	// batches, so the loss decision rebuilds its per-path constants.
@@ -103,6 +143,7 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 		delivered: conn.Delivered(),
 		doneAt:    doneAt,
 		dropped:   rec.Dropped(),
+		meter:     meter,
 	}
 	for i, sf := range conn.Subflows() {
 		d.rounds[i] = sf.Rounds
@@ -124,14 +165,15 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 // and the JSONL trace byte stream — to the same run with every round
 // completion going through the event heap.
 func FuzzBatchedRoundEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(512), false)
-	f.Add(int64(2), uint8(5), uint8(2), uint8(10), uint8(20), uint8(10), uint16(1024), true)
-	f.Add(int64(99), uint8(19), uint8(9), uint8(3), uint8(3), uint8(60), uint16(100), false)
-	f.Add(int64(-7), uint8(10), uint8(0), uint8(40), uint8(90), uint8(120), uint16(2000), true)
-	f.Add(int64(424242), uint8(1), uint8(5), uint8(1), uint8(50), uint8(0), uint16(64), false)
-	f.Fuzz(func(t *testing.T, seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool) {
-		batched := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, 64)
-		plain := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, 0)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(512), false, uint8(0), uint8(10))
+	f.Add(int64(2), uint8(5), uint8(2), uint8(10), uint8(20), uint8(10), uint16(1024), true, uint8(4), uint8(3))
+	f.Add(int64(99), uint8(19), uint8(9), uint8(3), uint8(3), uint8(60), uint16(100), false, uint8(1), uint8(7))
+	f.Add(int64(-7), uint8(10), uint8(0), uint8(40), uint8(90), uint8(120), uint16(2000), true, uint8(9), uint8(40))
+	f.Add(int64(424242), uint8(1), uint8(5), uint8(1), uint8(50), uint8(0), uint16(64), false, uint8(2), uint8(0))
+	f.Add(int64(31337), uint8(3), uint8(12), uint8(7), uint8(15), uint8(30), uint16(1500), false, uint8(0), uint8(13))
+	f.Fuzz(func(t *testing.T, seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs uint8, sizeKB uint16, disableReset bool, meterBreak, tickCs uint8) {
+		batched := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, meterBreak, tickCs, 64)
+		plain := runBatchScenario(seed, lossPct, loss2Pct, flipCs, holdCs, suspendCs, sizeKB, disableReset, meterBreak, tickCs, 0)
 		if batched.finalNow != plain.finalNow {
 			t.Errorf("final clock bits differ: batched %x, unbatched %x", batched.finalNow, plain.finalNow)
 		}
@@ -150,6 +192,9 @@ func FuzzBatchedRoundEquivalence(f *testing.F) {
 				t.Errorf("subflow %d float bits differ: cwnd %x vs %x, srtt %x vs %x",
 					i, batched.cwndBits[i], plain.cwndBits[i], batched.srttBits[i], plain.srttBits[i])
 			}
+		}
+		if batched.meter != plain.meter {
+			t.Errorf("tickers saw different states: batched %x, unbatched %x", batched.meter, plain.meter)
 		}
 		if batched.dropped != plain.dropped {
 			t.Fatalf("trace drop counts differ: batched %d, unbatched %d", batched.dropped, plain.dropped)

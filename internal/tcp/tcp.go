@@ -116,13 +116,13 @@ func (p *Path) LossProb() float64 {
 }
 
 // share returns the capacity available to one of the currently-active
-// subflows.
+// subflows. With at most one active subflow it is the whole rate: x/1 is
+// x bit for bit, so skipping the division changes no output.
 func (p *Path) share() units.BitRate {
-	n := p.active
-	if n < 1 {
-		n = 1
+	if p.active <= 1 {
+		return p.Capacity.Rate()
 	}
-	return p.Capacity.Rate() / units.BitRate(n)
+	return p.Capacity.Rate() / units.BitRate(p.active)
 }
 
 // State is a subflow's lifecycle position.
@@ -183,10 +183,12 @@ type Subflow struct {
 	everSent  bool
 	// batchBroken is set by InvalidateBatch and forces the round batcher
 	// to fall back to the event heap at the next round boundary. It is a
-	// defense-in-depth hook: CanFireInline alone already guarantees
-	// ordering, because every invalidation source is either event-driven
-	// (and an earlier event blocks inlining) or synchronous inside the
-	// round body (and thus sequenced identically either way).
+	// defense-in-depth hook: TryFireInline alone already guarantees
+	// ordering, because every invalidation source is either an event
+	// dispatched ahead of the round (an earlier heap event blocks
+	// inlining; an earlier tick runs first, inside TryFireInline) or
+	// synchronous inside the round body, and thus sequenced identically
+	// either way.
 	batchBroken bool
 
 	lastSendAt float64 // end of the most recent active round
@@ -364,7 +366,7 @@ func (sf *Subflow) KickFunc() func() { return sf.kickFn }
 // above call it whenever subflow-external state changes mid-round — an
 // MP_PRIO flip, a subflow join, a scheduler deferral, a radio-state
 // change — as a belt-and-braces guarantee on top of the engine-level
-// CanFireInline ordering check. Calling it outside a batch is a cheap
+// TryFireInline ordering check. Calling it outside a batch is a cheap
 // no-op (the flag is cleared when the next batch opens).
 func (sf *Subflow) InvalidateBatch() { sf.batchBroken = true }
 
@@ -503,7 +505,7 @@ var maxBatchRounds = 64
 // end is the round-completion event body — and the round batcher. The
 // engine fires it once; it then executes up to maxBatchRounds rounds
 // inline, as long as each round's completion is provably the very next
-// event the engine would dispatch (CanFireInline), nothing invalidated
+// event the engine would dispatch (TryFireInline), nothing invalidated
 // the batch (InvalidateBatch, a capacity-rate epoch bump), and the cap
 // has not been hit. Every coalesced round performs identical arithmetic,
 // RNG draws, trace emissions, and source callbacks at identical virtual
