@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -180,9 +179,8 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			r = f
 		}
-		dec := json.NewDecoder(r)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		var err error
+		if spec, err = campaign.DecodeSpec(r); err != nil {
 			fmt.Fprintf(stderr, "bad campaign spec %s: %v\n", arg, err)
 			return 1
 		}

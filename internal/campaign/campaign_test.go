@@ -31,6 +31,45 @@ func smallSpec() Spec {
 	}
 }
 
+// oneCellSpec is a one-cell, one-location grid: replicate × seeds runs.
+func oneCellSpec(replicate, seeds int) Spec {
+	return Spec{
+		WiFi:      []string{"good"},
+		LTE:       []string{"good"},
+		Locations: []string{"wdc"},
+		SizesMB:   []float64{0.25},
+		Protocols: []string{"mptcp"},
+		Seeds:     SeedRange{Count: seeds},
+		Replicate: replicate,
+	}
+}
+
+// maxReplicate3 × 3 seeds is 2^64−1 runs, the largest count a grid holds.
+const maxReplicate3 = (1<<64 - 1) / 3
+
+// A grid of 2^64−1 runs is valid, and its shard count and last shard are
+// computed without wrapping: before, ceil(total/size) overflowed to 0
+// shards and the job finished at once with nothing run.
+func TestLargestGridShards(t *testing.T) {
+	j, err := New(oneCellSpec(maxReplicate3, 3), Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.g.total; got != 1<<64-1 {
+		t.Fatalf("TotalRuns = %d, want 2^64-1", got)
+	}
+	n := j.exec.nShards()
+	if n != 1<<54 {
+		t.Fatalf("nShards = %d, want 2^54 shards of 1024", n)
+	}
+	if lo, hi := j.exec.shardRange(n - 1); lo != 1<<64-1024 || hi != 1<<64-1 {
+		t.Errorf("last shard = [%d, %d), want [2^64-1024, 2^64-1)", lo, hi)
+	}
+	if lo, hi := j.exec.shardRange(0); lo != 0 || hi != 1024 {
+		t.Errorf("first shard = [%d, %d), want [0, 1024)", lo, hi)
+	}
+}
+
 func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 	s := Spec{Seeds: SeedRange{Count: 1}}
 	if err := s.Validate(); err != nil {
@@ -55,6 +94,12 @@ func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 		{SizesMB: []float64{-1}, Seeds: SeedRange{Count: 1}},
 		{Replicate: -3, Seeds: SeedRange{Count: 1}},
 		{ShardSize: -1, Seeds: SeedRange{Count: 1}},
+		// 2^64 runs: the product wrapped to 0, and the job published an
+		// empty result as done.
+		oneCellSpec(1<<62, 4),
+		// 2^64+4 runs: the product wrapped to 4, the key memo's base
+		// grid to 0 runs, and the first run divided by zero.
+		oneCellSpec(1<<62+1, 4),
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
@@ -209,10 +254,10 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 			if !ok {
 				t.Fatalf("seeds=%d run %d: Wild scenario has no key", seeds, i)
 			}
-			if got, ok := g.keyAt(i); !ok || got != want {
+			if got := g.keyAt(i); got != want {
 				t.Fatalf("seeds=%d run %d: grid.keyAt differs from the scalar key of %q", seeds, i, sc.Name)
 			}
-			if got, ok := e.keyAt(i); !ok || got != want {
+			if got := e.keyAt(i); got != want {
 				t.Fatalf("seeds=%d run %d: memoized key differs from the scalar key of %q", seeds, i, sc.Name)
 			}
 			rsc, rproto, rseed, _ := g.runAt(i)

@@ -99,7 +99,6 @@ type executor struct {
 	// once before the first shard folds; read-only after.
 	keyOnce sync.Once
 	keys    []runcache.Key
-	keyOK   []bool
 	baseN   uint64
 
 	simulated atomic.Uint64
@@ -133,20 +132,21 @@ func newExecutor(g *grid, disk *runcache.Store) *executor {
 	}
 }
 
-// shardRange returns run range [lo, hi) of shard s.
+// shardRange returns run range [lo, hi) of shard s. Neither bound
+// overflows, even for a grid of nearly 2^64 runs.
 func (e *executor) shardRange(s uint64) (lo, hi uint64) {
 	size := uint64(e.g.spec.ShardSize)
-	lo, hi = s*size, (s+1)*size
-	if hi > e.g.total {
-		hi = e.g.total
+	lo, hi = s*size, e.g.total
+	if lo < hi && hi-lo > size {
+		hi = lo + size
 	}
 	return lo, hi
 }
 
-// nShards is the campaign's spec-derived shard count.
+// nShards is the campaign's spec-derived shard count. A validated grid
+// has at least one run, so total−1 does not wrap (total+size−1 could).
 func (e *executor) nShards() uint64 {
-	size := uint64(e.g.spec.ShardSize)
-	return (e.g.total + size - 1) / size
+	return (e.g.total-1)/uint64(e.g.spec.ShardSize) + 1
 }
 
 // memoizeKeys fills the key memo from grid.keyAt — one RunKey over a
@@ -164,7 +164,6 @@ func (e *executor) memoizeKeys(jobs int) {
 		}
 		baseN := e.g.total / uint64(rep)
 		keys := make([]runcache.Key, baseN)
-		keyOK := make([]bool, baseN)
 		var wg sync.WaitGroup
 		chunk := (baseN + uint64(jobs) - 1) / uint64(jobs)
 		for lo := uint64(0); lo < baseN; lo += chunk {
@@ -176,21 +175,20 @@ func (e *executor) memoizeKeys(jobs int) {
 			go func(lo, hi uint64) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					keys[i], keyOK[i] = e.g.keyAt(i)
+					keys[i] = e.g.keyAt(i)
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
-		e.keys, e.keyOK, e.baseN = keys, keyOK, baseN
+		e.keys, e.baseN = keys, baseN
 	})
 }
 
 // keyAt returns run i's cache key: from the memo when the grid
 // repeats, else grid.keyAt's one RunKey over the compiled base key.
-func (e *executor) keyAt(i uint64) (runcache.Key, bool) {
+func (e *executor) keyAt(i uint64) runcache.Key {
 	if e.keys != nil {
-		b := i % e.baseN
-		return e.keys[b], e.keyOK[b]
+		return e.keys[i%e.baseN]
 	}
 	return e.g.keyAt(i)
 }
@@ -230,17 +228,7 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 // fresh simulation (persisted before returning). On the replay path a
 // run is one RunKey hash (or a memo read), a disk read, and a decode.
 func (e *executor) oneRun(i uint64) (scenario.Result, error) {
-	sim := func() scenario.Result {
-		sc, proto, seed, _ := e.g.runAt(i)
-		e.simulated.Add(1)
-		return scenario.Run(sc, proto, scenario.Opts{Seed: seed})
-	}
-	key, ok := e.keyAt(i)
-	if !ok {
-		// Library scenarios are always digestible; this is a belt for
-		// future scenario kinds, not a hot path.
-		return sim(), nil
-	}
+	key := e.keyAt(i)
 	var runErr error
 	res := e.flight.Do(key, func() scenario.Result {
 		if e.disk != nil {
@@ -257,7 +245,9 @@ func (e *executor) oneRun(i uint64) (scenario.Result, error) {
 				// so the stale record stays until a cache rebuild.
 			}
 		}
-		r := sim()
+		sc, proto, seed, _ := e.g.runAt(i)
+		e.simulated.Add(1)
+		r := scenario.Run(sc, proto, scenario.Opts{Seed: seed})
 		if e.disk != nil {
 			if perr := e.disk.Put(key, encodeResult(r)); perr != nil {
 				runErr = perr

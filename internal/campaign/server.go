@@ -170,10 +170,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // is registered only once the queue has taken it, so a 503 for a full
 // queue leaves nothing behind.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := DecodeSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: bad spec: %w", err))
 		return
 	}

@@ -24,6 +24,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/bits"
 	"strings"
 
 	"repro/internal/energy"
@@ -140,7 +142,26 @@ func (s *Spec) Validate() error {
 	if s.ShardSize < 1 {
 		return fmt.Errorf("campaign: shard_size must be ≥ 1 (got %d)", s.ShardSize)
 	}
+	if _, ok := s.runCount(); !ok {
+		return fmt.Errorf("campaign: the grid has more than 2^64-1 runs (replicate %d, seeds.count %d)",
+			s.Replicate, s.Seeds.Count)
+	}
 	return nil
+}
+
+// runCount multiplies the grid's factors, reporting false when the
+// product does not fit in a uint64. Every factor of a normalised spec
+// is at least 1.
+func (s *Spec) runCount() (n uint64, ok bool) {
+	n = uint64(s.Replicate)
+	for _, f := range []int{len(s.WiFi), len(s.LTE), len(s.SizesMB), len(s.Protocols), len(s.Locations), s.Seeds.Count} {
+		hi, lo := bits.Mul64(n, uint64(f))
+		if hi != 0 {
+			return 0, false
+		}
+		n = lo
+	}
+	return n, true
 }
 
 // TotalRuns is the campaign's grid size including replication,
@@ -150,9 +171,19 @@ func (s *Spec) TotalRuns() uint64 {
 	if err := n.Validate(); err != nil {
 		return 0
 	}
-	return uint64(n.Replicate) * uint64(len(n.WiFi)) * uint64(len(n.LTE)) *
-		uint64(len(n.SizesMB)) * uint64(len(n.Protocols)) *
-		uint64(len(n.Locations)) * uint64(n.Seeds.Count)
+	total, _ := n.runCount()
+	return total
+}
+
+// DecodeSpec reads one JSON spec, refusing fields Spec does not have.
+// The HTTP submit handler and `emptcpsim campaign` read specs through
+// it; New validates what it returns.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
 }
 
 // Digest is the campaign's content identity: a sha256 over the
@@ -254,9 +285,8 @@ type grid struct {
 
 // compiledScenario is one grid scenario and its scenario.BaseKey.
 type compiledScenario struct {
-	sc     scenario.Scenario
-	base   runcache.Key
-	baseOK bool
+	sc   scenario.Scenario
+	base runcache.Key
 }
 
 func compile(spec Spec) (*grid, error) {
@@ -293,7 +323,10 @@ func compile(spec Spec) (*grid, error) {
 				for _, loc := range g.locs {
 					sc := scenario.Wild(device, wq, lq, loc, work)
 					base, ok := scenario.BaseKey(sc)
-					g.scens = append(g.scens, compiledScenario{sc: sc, base: base, baseOK: ok})
+					if !ok {
+						return nil, fmt.Errorf("campaign: scenario %q has no cache key", sc.Name)
+					}
+					g.scens = append(g.scens, compiledScenario{sc: sc, base: base})
 				}
 			}
 		}
@@ -354,11 +387,10 @@ func (g *grid) runAt(i uint64) (scenario.Scenario, scenario.Protocol, int64, int
 
 // keyAt returns run i's cache key: the compiled scenario's base key
 // completed with the run's protocol and seed by one scenario.RunKey.
-// It equals scenario.CacheKey of runAt(i).
-func (g *grid) keyAt(i uint64) (runcache.Key, bool) {
+// It equals scenario.CacheKey of runAt(i). RunKey refuses only a run
+// with a Recorder, and campaign runs have none.
+func (g *grid) keyAt(i uint64) runcache.Key {
 	c, proto, seed, _ := g.at(i)
-	if !c.baseOK {
-		return runcache.Key{}, false
-	}
-	return scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
+	k, _ := scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
+	return k
 }

@@ -3,7 +3,7 @@
 // WiFi modulation of §4.3, Markov on-off background interferers (§4.4),
 // and the mobility-driven WiFi trace of §4.5. Each process plugs into the
 // discrete-event engine and exposes a piecewise-constant available
-// bandwidth with change notification.
+// bandwidth.
 package link
 
 import (
@@ -16,11 +16,9 @@ import (
 )
 
 // Process is a piecewise-constant available-bandwidth process. Rate
-// returns the current value; OnChange registers a callback fired whenever
-// the value changes (after it has changed).
+// returns the current value; readers sample it when they need it.
 type Process interface {
 	Rate() units.BitRate
-	OnChange(func(units.BitRate))
 }
 
 // LossProcess optionally augments a Process with a random packet-loss
@@ -30,26 +28,18 @@ type LossProcess interface {
 	LossProb() float64
 }
 
-// base provides the observer plumbing shared by all processes.
+// base holds the current rate shared by all processes.
 type base struct {
-	rate      units.BitRate
-	observers []func(units.BitRate)
+	rate units.BitRate
 }
 
-func (b *base) Rate() units.BitRate             { return b.rate }
-func (b *base) OnChange(fn func(units.BitRate)) { b.observers = append(b.observers, fn) }
+func (b *base) Rate() units.BitRate { return b.rate }
 
 func (b *base) set(r units.BitRate) {
 	if r < 0 {
 		r = 0
 	}
-	if r == b.rate {
-		return
-	}
 	b.rate = r
-	for _, fn := range b.observers {
-		fn(r)
-	}
 }
 
 // Constant is a fixed-rate process.
@@ -69,10 +59,11 @@ func NewConstant(rate units.BitRate) *Constant {
 // of 40 seconds. The bandwidth provided by the AP is ≤1 Mbps or ≥10 Mbps."
 type OnOffModulator struct {
 	base
+	eng    *sim.Engine
 	proc   *simrng.OnOff
 	high   units.BitRate
 	low    units.BitRate
-	toggle sim.Timer // pre-bound: toggling allocates nothing per transition
+	toggle func() // pre-bound onToggle: toggling allocates nothing per transition
 }
 
 // NewOnOffModulator starts a modulator on the engine. startHigh selects
@@ -80,6 +71,7 @@ type OnOffModulator struct {
 // states.
 func NewOnOffModulator(eng *sim.Engine, src *simrng.Source, high, low units.BitRate, meanHold float64, startHigh bool) *OnOffModulator {
 	m := &OnOffModulator{
+		eng:  eng,
 		proc: simrng.NewOnOff(src, meanHold, meanHold, startHigh),
 		high: high,
 		low:  low,
@@ -89,7 +81,7 @@ func NewOnOffModulator(eng *sim.Engine, src *simrng.Source, high, low units.BitR
 	} else {
 		m.rate = low
 	}
-	m.toggle = eng.BindTimer(m.onToggle)
+	m.toggle = m.onToggle
 	m.scheduleToggle()
 	return m
 }
@@ -108,7 +100,7 @@ func (m *OnOffModulator) scheduleToggle() {
 	if math.IsInf(hold, 1) {
 		return
 	}
-	m.toggle.After(hold)
+	m.eng.After(hold, m.toggle)
 }
 
 // Interferer is one background WiFi node generating UDP traffic according
@@ -117,7 +109,7 @@ func (m *OnOffModulator) scheduleToggle() {
 type Interferer struct {
 	proc   *simrng.OnOff
 	active bool
-	toggle sim.Timer // pre-bound at construction; re-armed per transition
+	toggle func() // bound once at construction; armed per transition
 }
 
 // ContendedWiFi models the device's WiFi link under channel contention
@@ -126,6 +118,7 @@ type Interferer struct {
 // 1/(k+1) and collisions add packet loss.
 type ContendedWiFi struct {
 	base
+	eng         *sim.Engine
 	baseRate    units.BitRate
 	interferers []*Interferer
 	lossProb    float64
@@ -134,15 +127,15 @@ type ContendedWiFi struct {
 // NewContendedWiFi starts n interferers on the engine with the given
 // Markov rates. All interferers start silent.
 func NewContendedWiFi(eng *sim.Engine, src *simrng.Source, baseRate units.BitRate, n int, lambdaOn, lambdaOff float64) *ContendedWiFi {
-	c := &ContendedWiFi{baseRate: baseRate}
+	c := &ContendedWiFi{eng: eng, baseRate: baseRate}
 	c.rate = baseRate
 	for i := 0; i < n; i++ {
 		iv := &Interferer{proc: simrng.NewOnOffRates(src.Split(uint64(i)+1), lambdaOn, lambdaOff, false)}
-		iv.toggle = eng.BindTimer(func() {
+		iv.toggle = func() {
 			iv.active = iv.proc.On()
 			c.recompute()
 			c.scheduleToggle(iv)
-		})
+		}
 		c.interferers = append(c.interferers, iv)
 		c.scheduleToggle(iv)
 	}
@@ -154,7 +147,7 @@ func (c *ContendedWiFi) scheduleToggle(iv *Interferer) {
 	if math.IsInf(hold, 1) {
 		return
 	}
-	iv.toggle.After(hold)
+	c.eng.After(hold, iv.toggle)
 }
 
 func (c *ContendedWiFi) recompute() {

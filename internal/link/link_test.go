@@ -10,15 +10,30 @@ import (
 	"repro/internal/units"
 )
 
+// rateChange is one step of a process's rate, seen by rateChanges.
+type rateChange struct {
+	at   float64
+	rate units.BitRate
+}
+
+// rateChanges steps the engine until it stops and records every change
+// of p's rate with the time it took effect.
+func rateChanges(eng *sim.Engine, p Process) []rateChange {
+	var out []rateChange
+	last := p.Rate()
+	for eng.Step() {
+		if r := p.Rate(); r != last {
+			out = append(out, rateChange{eng.Now(), r})
+			last = r
+		}
+	}
+	return out
+}
+
 func TestConstant(t *testing.T) {
 	c := NewConstant(units.MbpsRate(10))
 	if c.Rate() != units.MbpsRate(10) {
 		t.Errorf("rate = %v", c.Rate())
-	}
-	fired := false
-	c.OnChange(func(units.BitRate) { fired = true })
-	if fired {
-		t.Error("constant should never notify")
 	}
 }
 
@@ -30,16 +45,14 @@ func TestOnOffModulatorAlternates(t *testing.T) {
 	if m.Rate() != units.MbpsRate(10) {
 		t.Fatalf("initial rate = %v, want high", m.Rate())
 	}
-	var rates []units.BitRate
-	m.OnChange(func(r units.BitRate) { rates = append(rates, r) })
-	eng.Run()
+	rates := rateChanges(eng, m)
 	if len(rates) < 10 {
 		t.Fatalf("only %d toggles in 2000 s with mean hold 40 s", len(rates))
 	}
-	for i, r := range rates {
+	for i, c := range rates {
 		wantHigh := i%2 == 1 // first change goes high→low, so odd indexes are high
-		if wantHigh && r != units.MbpsRate(10) || !wantHigh && r != units.MbpsRate(1) {
-			t.Fatalf("toggle %d = %v, not alternating", i, r)
+		if wantHigh && c.rate != units.MbpsRate(10) || !wantHigh && c.rate != units.MbpsRate(1) {
+			t.Fatalf("toggle %d = %v, not alternating", i, c.rate)
 		}
 	}
 	// Mean holding time should be in the neighbourhood of 40 s:
@@ -68,21 +81,20 @@ func TestContendedWiFiSharesChannel(t *testing.T) {
 		t.Fatalf("initial loss = %v, want 0", c.LossProb())
 	}
 	sawShared, sawLoss := false, false
-	c.OnChange(func(r units.BitRate) {
-		k := c.ActiveInterferers()
+	for eng.Step() {
+		r, k := c.Rate(), c.ActiveInterferers()
 		want := units.BitRate(float64(units.MbpsRate(12)) * phy.ContentionShare(k))
 		if math.Abs(float64(r-want)) > 1 {
-			t.Errorf("rate %v does not match %d active interferers", r, k)
+			t.Fatalf("rate %v does not match %d active interferers", r, k)
 		}
 		if k > 0 {
 			sawShared = true
 			if c.LossProb() <= 0 {
-				t.Error("active interferers should add loss")
+				t.Fatal("active interferers should add loss")
 			}
 			sawLoss = true
 		}
-	})
-	eng.Run()
+	}
 	if !sawShared || !sawLoss {
 		t.Error("interferers never became active in 500 s")
 	}
@@ -92,11 +104,8 @@ func TestContendedWiFiZeroInterferers(t *testing.T) {
 	eng := sim.New()
 	eng.Horizon = 100
 	c := NewContendedWiFi(eng, simrng.New(7), units.MbpsRate(12), 0, 0.05, 0.05)
-	changed := false
-	c.OnChange(func(units.BitRate) { changed = true })
-	eng.Run()
-	if changed {
-		t.Error("no interferers: rate should never change")
+	if got := rateChanges(eng, c); len(got) != 0 || c.Rate() != units.MbpsRate(12) {
+		t.Errorf("no interferers: rate changed %v, now %v", got, c.Rate())
 	}
 }
 
@@ -109,18 +118,12 @@ func TestMobileWiFiFollowsRoute(t *testing.T) {
 	if m.Rate() <= 0 {
 		t.Fatal("route starts near the AP; initial rate should be positive")
 	}
-	var minRate, maxRate units.BitRate = m.Rate(), m.Rate()
-	m.OnChange(func(r units.BitRate) {
-		if r < minRate {
-			minRate = r
-		}
-		if r > maxRate {
-			maxRate = r
-		}
-	})
+	minRate, maxRate := m.Rate(), m.Rate()
 	assocChanges := 0
 	m.OnAssociationChange(func(bool) { assocChanges++ })
-	eng.Run()
+	for eng.Step() {
+		minRate, maxRate = min(minRate, m.Rate()), max(maxRate, m.Rate())
+	}
 	if minRate != 0 {
 		t.Errorf("min rate on route = %v, want 0 (out of range)", minRate)
 	}
@@ -142,11 +145,9 @@ func TestTrace(t *testing.T) {
 	if tr.Rate() != units.MbpsRate(5) {
 		t.Fatalf("initial = %v, want 5 Mbps", tr.Rate())
 	}
-	var hist []float64
-	tr.OnChange(func(r units.BitRate) { hist = append(hist, eng.Now()) })
-	eng.Run()
-	if len(hist) != 2 || hist[0] != 10 || hist[1] != 20 {
-		t.Errorf("change times = %v, want [10 20]", hist)
+	hist := rateChanges(eng, tr)
+	if len(hist) != 2 || hist[0].at != 10 || hist[1].at != 20 {
+		t.Errorf("changes = %v, want at [10 20]", hist)
 	}
 	if tr.Rate() != units.MbpsRate(8) {
 		t.Errorf("final = %v, want 8 Mbps", tr.Rate())
@@ -172,29 +173,12 @@ func TestSetClampsNegative(t *testing.T) {
 	}
 }
 
-func TestNoNotifyOnSameRate(t *testing.T) {
-	eng := sim.New()
-	tr := NewTrace(eng, []Breakpoint{
-		{At: 0, Rate: units.MbpsRate(5)},
-		{At: 1, Rate: units.MbpsRate(5)},
-	})
-	n := 0
-	tr.OnChange(func(units.BitRate) { n++ })
-	eng.Run()
-	if n != 0 {
-		t.Errorf("same-rate set notified %d times, want 0", n)
-	}
-}
-
 func TestModulatorDeterminism(t *testing.T) {
-	run := func() []float64 {
+	run := func() []rateChange {
 		eng := sim.New()
 		eng.Horizon = 500
 		m := NewOnOffModulator(eng, simrng.New(99), units.MbpsRate(10), units.MbpsRate(1), 40, true)
-		var times []float64
-		m.OnChange(func(units.BitRate) { times = append(times, eng.Now()) })
-		eng.Run()
-		return times
+		return rateChanges(eng, m)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -272,4 +256,34 @@ func TestMultiAPNeedsAPs(t *testing.T) {
 		}
 	}()
 	NewMultiAPWiFi(eng, phy.DefaultWiFiCell(), route, nil)
+}
+
+// A toggle re-arms through a callback bound once at construction, so a
+// warm modulator's or contended link's transitions allocate nothing.
+func TestToggleSteadyStateAllocFree(t *testing.T) {
+	for name, build := range map[string]func(*sim.Engine) Process{
+		"OnOffModulator": func(eng *sim.Engine) Process {
+			return NewOnOffModulator(eng, simrng.New(5), units.MbpsRate(10), units.MbpsRate(1), 0.5, true)
+		},
+		"ContendedWiFi": func(eng *sim.Engine) Process {
+			return NewContendedWiFi(eng, simrng.New(5), units.MbpsRate(12), 3, 2, 1)
+		},
+	} {
+		eng := sim.New()
+		p := build(eng)
+		for i := 0; i < 16; i++ {
+			eng.Step()
+		}
+		before := eng.Now()
+		if got := testing.AllocsPerRun(200, func() {
+			if !eng.Step() {
+				t.Fatal("toggle chain ended")
+			}
+		}); got != 0 {
+			t.Errorf("%s: toggle and re-arm allocated %.1f times", name, got)
+		}
+		if eng.Now() == before || p.Rate() <= 0 {
+			t.Errorf("%s: clock %v→%v, rate %v: the toggles did not run", name, before, eng.Now(), p.Rate())
+		}
+	}
 }

@@ -113,11 +113,6 @@ func (c *Connection) AddSubflow(id string, iface energy.Interface, path *tcp.Pat
 		sf = tcp.NewSubflow(id, c.eng, c.src.Split(uint64(len(c.subflows))+0x5f), path, conf, (*connSource)(c))
 	}
 	sf.Meta = subflowMeta{iface: iface}
-	// A join changes the LIA coupling set and the scheduler's choices:
-	// stop any sibling's round batch at its next boundary.
-	for _, other := range c.subflows {
-		other.InvalidateBatch()
-	}
 	c.subflows = append(c.subflows, sf)
 	c.lia = append(c.lia, liaCache{})
 	if rec := c.eng.Recorder(); rec != nil {
@@ -260,9 +255,6 @@ func (cs *connSource) Request(sf *tcp.Subflow, max units.ByteSize) units.ByteSiz
 			}
 			best.Kick()
 			c.eng.After(best.SRTT()+1e-3, sf.KickFunc())
-			// The deferral re-picks the scheduler later; don't let the
-			// requester's batch (if one is open) coalesce past it.
-			sf.InvalidateBatch()
 			return 0
 		}
 	}
@@ -332,9 +324,8 @@ func (cs *connSource) Returned(sf *tcp.Subflow, n units.ByteSize) {
 
 // liaCache memoizes one subflow's LIA quotients. Division dominates the
 // increase computation, and between a subflow's own rounds the sibling
-// windows are frozen (round batching makes long frozen stretches the
-// common case), so the quotients are recomputed only when the operands
-// change. Identical operand bits give identical quotient bits, so the
+// windows are usually unchanged, so the quotients are recomputed only
+// when the operands change. Identical operand bits give identical quotient bits, so the
 // cache cannot perturb results.
 type liaCache struct {
 	w, r    float64

@@ -127,9 +127,10 @@ func TestRandomBandwidthUsesPaperParameters(t *testing.T) {
 		}
 	}
 	check(proc.Rate())
-	proc.OnChange(check)
 	eng.Horizon = 500
-	eng.Run()
+	for eng.Step() {
+		check(proc.Rate())
+	}
 	if !lowSeen || !highSeen {
 		t.Error("modulator did not visit both bands in 500 s")
 	}

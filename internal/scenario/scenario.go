@@ -202,7 +202,7 @@ type run struct {
 	meterLastUp [energy.NumInterfaces]units.ByteSize
 	lteTouched  bool
 
-	conns     []*mptcp.Connection
+	nConns    uint64 // connections opened so far: each seeds its own RNG split
 	ctls      []*core.Controller
 	mdpPol    *baseline.MDPPolicy
 	wifiAssoc associationSource
@@ -355,14 +355,6 @@ type radioControl struct{ r *run }
 
 func (rc radioControl) Activate(iface energy.Interface) float64 {
 	rc.r.flushMeter()
-	// A radio-state change alters dwell accounting and (via promotion
-	// delay) upcoming subflow behaviour: stop any open round batch at its
-	// next boundary.
-	for _, c := range rc.r.conns {
-		for _, sf := range c.Subflows() {
-			sf.InvalidateBatch()
-		}
-	}
 	if iface == energy.LTE {
 		rc.r.lteTouched = true
 	}
@@ -405,7 +397,8 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 	if r.proto == TCPWiFi || r.proto == TCPLTE {
 		opts.Coupling = mptcp.Uncoupled
 	}
-	conn := mptcp.New(r.eng, r.src.Split(uint64(len(r.conns))+0xd0), opts)
+	conn := mptcp.New(r.eng, r.src.Split(r.nConns+0xd0), opts)
+	r.nConns++
 	conn.OnDelivered = func(sf *tcp.Subflow, iface energy.Interface, n units.ByteSize) {
 		if iface >= 0 && int(iface) < energy.NumInterfaces {
 			if uplink {
@@ -415,7 +408,6 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 			}
 		}
 	}
-	r.conns = append(r.conns, conn)
 	rc := radioControl{r}
 
 	switch r.proto {

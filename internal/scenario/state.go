@@ -64,7 +64,6 @@ func (st *RunState) reset(sc Scenario, proto Protocol, opt Opts) *run {
 		src:      st.rngArena.New(opt.Seed),
 		acct:     st.acct,
 		arena:    &st.arena,
-		conns:    r.conns[:0],
 		ctls:     r.ctls[:0],
 		wfRules:  r.wfRules[:0],
 	}

@@ -33,14 +33,14 @@ func TestPeekNextReportsMinAndDrainsDead(t *testing.T) {
 	}
 }
 
-// DeferAfter must consume the same sequence number a real After would, so
+// DeferAt must consume the same sequence number a real Schedule would, so
 // committed slots interleave with ordinary events exactly as if they had
 // been scheduled eagerly.
-func TestDeferAfterReservesSequence(t *testing.T) {
+func TestDeferAtReservesSequence(t *testing.T) {
 	e := New()
 	var order []int
 	e.Schedule(5, func() { order = append(order, 1) }) // seq 0
-	d := e.DeferAfter(5)                               // seq 1
+	d := e.DeferAt(5)                                  // seq 1
 	e.Schedule(5, func() { order = append(order, 3) }) // seq 2
 	e.CommitDeferred(d, func() { order = append(order, 2) })
 	e.Run()
@@ -52,28 +52,45 @@ func TestDeferAfterReservesSequence(t *testing.T) {
 	}
 }
 
-func TestDeferAfterDelaySemantics(t *testing.T) {
+// DeferAt's time rules match Schedule's: the current instant is allowed,
+// +Inf reserves nothing (no sequence number, no schedule trace), and NaN
+// or a time in the past panics.
+func TestDeferAtTimeSemantics(t *testing.T) {
 	e := New()
 	e.Schedule(3, func() {})
-	e.Run() // now = 3
+	e.Run() // now = 3, next seq 1
+	rec := &countRecorder{}
+	e.SetRecorder(rec)
 
-	if d := e.DeferAfter(-1); d.At() != 3 {
-		t.Errorf("negative delay deferred at %v, want clamp to now=3", d.At())
+	if d := e.DeferAt(math.Inf(1)); !math.IsInf(d.At(), 1) {
+		t.Errorf("infinite time deferred at %v, want +Inf", d.At())
 	}
-	if d := e.DeferAfter(math.Inf(1)); !math.IsInf(d.At(), 1) {
-		t.Errorf("infinite delay deferred at %v, want +Inf", d.At())
+	if rec.counts[trace.KindSchedule] != 0 {
+		t.Errorf("a +Inf slot recorded %d schedule events, want 0", rec.counts[trace.KindSchedule])
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("DeferAfter(NaN) did not panic")
-		}
-	}()
-	e.DeferAfter(math.NaN())
+	e.Schedule(4, func() {})
+	if _, seq, _ := e.PeekNext(); seq != 1 {
+		t.Errorf("next Schedule drew seq %d after a +Inf slot, want 1 (nothing reserved)", seq)
+	}
+	if d := e.DeferAt(3); d.At() != 3 {
+		t.Errorf("slot at the current instant deferred at %v, want 3", d.At())
+	}
+
+	for _, at := range []Time{math.NaN(), 2.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DeferAt(%v) at now=3 did not panic", at)
+				}
+			}()
+			e.DeferAt(at)
+		}()
+	}
 }
 
 func TestCommitDeferredDropsInfinite(t *testing.T) {
 	e := New()
-	d := e.DeferAfter(math.Inf(1))
+	d := e.DeferAt(math.Inf(1))
 	e.CommitDeferred(d, func() { t.Error("infinite slot fired") })
 	if e.Pending() != 0 {
 		t.Errorf("pending = %d after committing +Inf slot, want 0", e.Pending())
@@ -90,9 +107,9 @@ func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 	rec := &countRecorder{}
 	e.SetRecorder(rec)
 
-	d := e.DeferAfter(2)
+	d := e.DeferAt(2)
 	if rec.counts[trace.KindSchedule] != 1 {
-		t.Fatalf("schedule events = %d, want 1 from DeferAfter", rec.counts[trace.KindSchedule])
+		t.Fatalf("schedule events = %d, want 1 from DeferAt", rec.counts[trace.KindSchedule])
 	}
 	if !e.TryFireInline(d) {
 		t.Fatal("TryFireInline = false with an empty queue")
@@ -106,7 +123,7 @@ func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 
 	d2 := e.DeferAt(3)
 	if !e.TryFireInline(d2) {
-		t.Fatal("TryFireInline = false for an absolute slot on an empty queue")
+		t.Fatal("TryFireInline = false for a second slot on an empty queue")
 	}
 	if e.Now() != 3 {
 		t.Errorf("now = %v after the second inline fire, want 3", e.Now())
@@ -120,7 +137,7 @@ func TestInlineFireAdvancesClockAndTraces(t *testing.T) {
 func TestInlineFireRefusedWhenNotNext(t *testing.T) {
 	e := New()
 	e.Schedule(1, func() {}) // earlier live event
-	d := e.DeferAfter(2)
+	d := e.DeferAt(2)
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired ahead of an earlier event")
 	}
@@ -133,13 +150,13 @@ func TestInlineFireRefusedWhenNotNext(t *testing.T) {
 func TestInlineFireSequenceTieBreak(t *testing.T) {
 	e := New()
 	e.Schedule(2, func() {}) // seq 0
-	d := e.DeferAfter(2)     // seq 1
+	d := e.DeferAt(2)        // seq 1
 	if e.TryFireInline(d) {
 		t.Error("inline fire won a same-time tie against an earlier sequence")
 	}
 
 	e2 := New()
-	d2 := e2.DeferAfter(2)    // seq 0
+	d2 := e2.DeferAt(2)       // seq 0
 	e2.Schedule(2, func() {}) // seq 1
 	if !e2.TryFireInline(d2) {
 		t.Error("TryFireInline lost a same-time tie it should win (earlier seq)")
@@ -148,7 +165,7 @@ func TestInlineFireSequenceTieBreak(t *testing.T) {
 
 func TestInlineFireRespectsStop(t *testing.T) {
 	e := New()
-	d := e.DeferAfter(1)
+	d := e.DeferAt(1)
 	e.Stop()
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired on a stopped engine")
@@ -158,10 +175,10 @@ func TestInlineFireRespectsStop(t *testing.T) {
 func TestInlineFireRespectsHorizon(t *testing.T) {
 	e := New()
 	e.Horizon = 5
-	if d := e.DeferAfter(4); !e.TryFireInline(d) {
+	if d := e.DeferAt(4); !e.TryFireInline(d) {
 		t.Error("inline fire refused inside the horizon")
 	}
-	d := e.DeferAfter(10)
+	d := e.DeferAt(e.Now() + 10)
 	if e.TryFireInline(d) {
 		t.Error("TryFireInline fired past the horizon")
 	}
@@ -173,7 +190,7 @@ func TestTryFireInlineConservativeOnDeadTop(t *testing.T) {
 	e := New()
 	ev := e.Schedule(1, func() { t.Error("cancelled event fired") })
 	ev.Cancel()
-	d := e.DeferAfter(2)
+	d := e.DeferAt(2)
 	// The dead entry at t=1 precedes d, so the raw-top probe refuses.
 	if e.TryFireInline(d) {
 		t.Fatal("TryFireInline fired across a dead-but-undrained top")
@@ -197,7 +214,7 @@ func TestInlineFireRespectsRunUntilBound(t *testing.T) {
 	var inside bool
 	firedAt := Time(-1)
 	e.Schedule(1, func() {
-		d := e.DeferAfter(5) // t=6, past the RunUntil(3) bound
+		d := e.DeferAt(e.Now() + 5) // t=6, past the RunUntil(3) bound
 		inside = e.TryFireInline(d)
 		e.CommitDeferred(d, func() { firedAt = e.Now() })
 	})
@@ -224,7 +241,7 @@ func TestRunUntilRestoresInlineLimit(t *testing.T) {
 	e := New()
 	e.Schedule(1, func() {})
 	e.RunUntil(2)
-	d := e.DeferAfter(5) // t=7, past the old bound
+	d := e.DeferAt(e.Now() + 5) // t=7, past the old bound
 	if !e.TryFireInline(d) {
 		t.Error("TryFireInline still bounded after RunUntil returned")
 	}
@@ -236,7 +253,7 @@ func TestRunUntilRestoresInlineLimit(t *testing.T) {
 func TestInlineFireAllocFree(t *testing.T) {
 	e := New()
 	allocs := testing.AllocsPerRun(200, func() {
-		d := e.DeferAfter(1)
+		d := e.DeferAt(e.Now() + 1)
 		if !e.TryFireInline(d) {
 			t.Fatal("inline fire refused on an empty queue")
 		}
@@ -247,7 +264,7 @@ func TestInlineFireAllocFree(t *testing.T) {
 
 	e.SetRecorder(trace.NewJSONL(trace.AllKinds, 1024))
 	allocs = testing.AllocsPerRun(200, func() {
-		d := e.DeferAfter(1)
+		d := e.DeferAt(e.Now() + 1)
 		if !e.TryFireInline(d) {
 			t.Fatal("traced inline fire refused on an empty queue")
 		}
@@ -257,7 +274,7 @@ func TestInlineFireAllocFree(t *testing.T) {
 	}
 }
 
-// Equivalence: an After+Run schedule and a DeferAfter+inline/commit batch
+// Equivalence: an After+Run schedule and a DeferAt+inline/commit batch
 // produce identical fire orders and identical trace streams for a mix of
 // inline-able and refused slots.
 func TestDeferredMatchesScheduledTrace(t *testing.T) {
@@ -268,14 +285,14 @@ func TestDeferredMatchesScheduledTrace(t *testing.T) {
 		var order []int
 		e.Schedule(1, func() {
 			if batched {
-				d := e.DeferAfter(1)
+				d := e.DeferAt(e.Now() + 1)
 				if !e.TryFireInline(d) {
 					t.Fatal("slot at t=2 should fire inline")
 				}
 				order = append(order, 2)
 				// Next slot collides with the t=3 event below and must
 				// lose the tie (later seq), falling back to the heap.
-				d = e.DeferAfter(1)
+				d = e.DeferAt(e.Now() + 1)
 				if e.TryFireInline(d) {
 					t.Fatal("slot at t=3 should lose the tie")
 				}

@@ -171,3 +171,40 @@ func TestManyPendingThenDrain(t *testing.T) {
 		t.Errorf("fired = %d, want %d", fired, n)
 	}
 }
+
+func TestResetReusesArena(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 32; i++ {
+		e.Schedule(float64(i), fn)
+	}
+	ev := e.Schedule(100, fn)
+	e.RunUntil(10)
+	e.Reset()
+
+	if e.Now() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: now=%v pending=%d", e.Now(), e.Pending())
+	}
+	// Handles from before the reset are stale: Cancel must not touch the
+	// recycled node.
+	ev.Cancel()
+
+	// A run on the reset engine behaves like one on a fresh engine and
+	// allocates nothing once the arena is warm.
+	var order []Time
+	e.Schedule(2, func() { order = append(order, e.Now()) })
+	e.Schedule(1, func() { order = append(order, e.Now()) })
+	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("order = %v, want [1 2]", order)
+	}
+
+	e.Reset()
+	if got := testing.AllocsPerRun(100, func() {
+		e.Reset()
+		e.Schedule(1, fn)
+		e.Step()
+	}); got != 0 {
+		t.Fatalf("reset+schedule+step allocated %.1f times", got)
+	}
+}

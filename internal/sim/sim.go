@@ -263,10 +263,10 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to the state of New while keeping the node
 // arena, heap, free-list and ticker-list capacity, so a pooled engine
-// re-runs without regrowing kernel state. Event handles, Timers and
-// Tickers from before the reset are stale afterwards: node generations
-// are bumped and every ticker is dropped, so using them is a no-op,
-// exactly like handles to fired events. Only the (at, seq) pair orders
+// re-runs without regrowing kernel state. Event handles and Tickers from
+// before the reset are stale afterwards: node generations are bumped and
+// every ticker is dropped, so using them is a no-op, exactly like
+// handles to fired events. Only the (at, seq) pair orders
 // events — node indices and ticker-list positions never do — so a run on
 // a reset engine is bit-identical to one on a fresh engine.
 func (e *Engine) Reset() {
@@ -334,37 +334,14 @@ type Deferred struct {
 // At returns the reserved fire time.
 func (d Deferred) At() Time { return d.at }
 
-// DeferAfter reserves the next sequence number for a callback that would
-// fire delay seconds from now and emits the same schedule trace event a
-// real After would, but touches no heap or node state. Delay semantics
-// match After (negative clamps to zero; +Inf reserves nothing and the
-// slot can never fire).
-func (e *Engine) DeferAfter(delay float64) Deferred {
-	if math.IsInf(delay, 1) {
-		return Deferred{at: math.Inf(1)}
-	}
-	if math.IsNaN(delay) {
-		panic("sim: deferring at NaN time")
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	d := Deferred{at: e.now + delay, seq: e.seq}
-	e.seq++
-	if e.rec != nil {
-		e.rec.Record(trace.Event{T: e.now, Kind: trace.KindSchedule, A: d.at})
-	}
-	return d
-}
-
-// DeferAt is DeferAfter at an absolute fire time: it reserves the next
-// sequence number for a callback at time at and emits the same schedule
-// trace event a real Schedule would, but touches no heap or node state.
-// Time semantics match Schedule (scheduling into the past panics); a +Inf
-// time reserves nothing and the slot can never fire. The packet-level
-// engine's ACK-train coalescer uses it: consecutive ACK arrival times are
-// iterated in exact float arithmetic, so the reservation must carry those
-// exact bits rather than a now+delay round trip.
+// DeferAt reserves the next sequence number for a callback at absolute
+// time at and emits the same schedule trace event a real Schedule would,
+// but touches no heap or node state. Time semantics match Schedule
+// (scheduling into the past panics); a +Inf time reserves nothing and the
+// slot can never fire. The tcp round batcher reserves each round's
+// completion at Now()+duration; the packet-level engine's ACK-train
+// coalescer reserves consecutive ACK arrival times, iterated in exact
+// float arithmetic, so the reservation carries those exact bits.
 func (e *Engine) DeferAt(at Time) Deferred {
 	if math.IsNaN(at) {
 		panic("sim: deferring at NaN time")
@@ -397,7 +374,7 @@ func (e *Engine) DeferAt(at Time) Deferred {
 func (e *Engine) TryFireInline(d Deferred) bool {
 	for {
 		// d.at > MaxFloat64 rejects the +Inf never-firable slot; d.at is
-		// never NaN (DeferAfter and DeferAt panic on NaN).
+		// never NaN (DeferAt panics on NaN).
 		if e.stopped || d.at > e.limit || d.at > math.MaxFloat64 {
 			return false
 		}
@@ -437,8 +414,8 @@ func (e *Engine) TryFireInline(d Deferred) bool {
 
 // CommitDeferred schedules the deferred slot into the event heap under
 // its reserved sequence number. No second schedule trace event is
-// emitted — DeferAfter already recorded it. A +Inf slot (from an
-// infinite delay) is dropped, matching After.
+// emitted — DeferAt already recorded it. A +Inf slot is dropped, matching
+// After.
 func (e *Engine) CommitDeferred(d Deferred, fn func()) {
 	if math.IsInf(d.at, 1) {
 		return
@@ -538,52 +515,6 @@ func (e *Engine) RunUntil(t Time) Time {
 	}
 	return e.now
 }
-
-// Timer is a pre-bound re-armable timer: the callback is fixed when the
-// timer is bound, so arming it in steady state allocates nothing (plain
-// After/Schedule allocate a fresh closure per call whenever the callback
-// captures state). A Timer tracks at most one outstanding event —
-// re-arming cancels the pending one — which fits re-arming state machines
-// like link modulators and protocol timers. For overlapping events that
-// share one callback, pass a pre-bound func() to After/Schedule directly.
-//
-// The zero Timer is not usable; bind one with Engine.BindTimer. A Timer
-// must not be copied once armed (the copy would duplicate the
-// pending-event handle).
-type Timer struct {
-	eng *Engine
-	fn  func()
-	ev  Event
-}
-
-// BindTimer binds fn to a reusable timer. The callback is bound once
-// here; every later arm reuses it.
-func (e *Engine) BindTimer(fn func()) Timer {
-	if fn == nil {
-		panic("sim: BindTimer with nil callback")
-	}
-	return Timer{eng: e, fn: fn}
-}
-
-// After arms the timer delay seconds from now, cancelling any pending arm.
-// Delay semantics match Engine.After.
-func (t *Timer) After(delay float64) {
-	t.ev.Cancel()
-	t.ev = t.eng.After(delay, t.fn)
-}
-
-// Schedule arms the timer at absolute time at, cancelling any pending
-// arm. Time semantics match Engine.Schedule.
-func (t *Timer) Schedule(at Time) {
-	t.ev.Cancel()
-	t.ev = t.eng.Schedule(at, t.fn)
-}
-
-// Stop cancels the pending arm, if any.
-func (t *Timer) Stop() { t.ev.Cancel() }
-
-// At returns the fire time of the most recent arm (or fired arm).
-func (t *Timer) At() Time { return t.ev.At() }
 
 // Ticker invokes fn every interval seconds until stopped. The first tick
 // fires one interval from the time Tick is created.
@@ -694,13 +625,5 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// Interval returns the current ticker period in seconds.
+// Interval returns the ticker period in seconds.
 func (t *Ticker) Interval() float64 { return t.interval }
-
-// SetInterval changes the ticker period starting from the next re-arm.
-func (t *Ticker) SetInterval(interval float64) {
-	if interval <= 0 || math.IsNaN(interval) {
-		panic("sim: Ticker interval must be positive")
-	}
-	t.interval = interval
-}

@@ -194,22 +194,6 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestTickerSetInterval(t *testing.T) {
-	e := New()
-	var ticks []Time
-	var tk *Ticker
-	tk = e.Tick(1, func() {
-		ticks = append(ticks, e.Now())
-		tk.SetInterval(2)
-	})
-	e.Schedule(6, func() { tk.Stop() })
-	e.Run()
-	want := []Time{1, 3, 5}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-}
-
 func TestTickerStopFromOwnCallback(t *testing.T) {
 	e := New()
 	n := 0

@@ -42,12 +42,9 @@ func (t *heapTicker) Stop() {
 	t.ev.Cancel()
 }
 
-func (t *heapTicker) SetInterval(interval float64) { t.interval = interval }
-
 // ticker is the surface the scripts drive on both implementations.
 type ticker interface {
 	Stop()
-	SetInterval(float64)
 }
 
 // Fire-log tags: which kind of callback fired.
@@ -151,12 +148,7 @@ func (w *tickWorld) chain(id, left int) {
 			return
 		}
 		left--
-		var d Deferred
-		if b := w.next(); b&1 == 0 {
-			d = w.e.DeferAfter(scriptDelay(b >> 1))
-		} else {
-			d = w.e.DeferAt(w.e.Now() + scriptDelay(b>>1))
-		}
+		d := w.e.DeferAt(w.e.Now() + scriptDelay(w.next()>>1))
 		if !w.e.TryFireInline(d) {
 			rest := left
 			w.e.CommitDeferred(d, func() { w.chain(id, rest) })
@@ -166,7 +158,8 @@ func (w *tickWorld) chain(id, left int) {
 }
 
 // act is the body of every callback. self is the firing ticker's index,
-// or -1 for one-shots and chain slots.
+// or -1 for one-shots and chain slots. Action bytes with no case (0, 3
+// and 4) do nothing.
 func (w *tickWorld) act(self int) {
 	if w.fires > scriptMaxFires {
 		return // let the horizon end the run
@@ -179,14 +172,6 @@ func (w *tickWorld) act(self int) {
 	case 2:
 		if n := len(w.tks); n > 0 {
 			w.tks[int(w.next())%n].Stop()
-		}
-	case 3:
-		if self >= 0 {
-			w.tks[self].SetInterval(scriptInterval(w.next()))
-		}
-	case 4:
-		if n := len(w.tks); n > 0 {
-			w.tks[int(w.next())%n].SetInterval(scriptInterval(w.next()))
 		}
 	case 5:
 		w.newTicker(scriptInterval(w.next()))
@@ -212,7 +197,7 @@ func (w *tickWorld) act(self int) {
 }
 
 // do applies one top-level script operation and returns what it reports,
-// for comparison across worlds.
+// for comparison across worlds. Operation 6 does nothing.
 func (w *tickWorld) do(op, arg byte) [3]uint64 {
 	e := w.e
 	switch op % 12 {
@@ -235,10 +220,6 @@ func (w *tickWorld) do(op, arg byte) [3]uint64 {
 	case 5:
 		if n := len(w.tks); n > 0 {
 			w.tks[int(arg)%n].Stop()
-		}
-	case 6:
-		if n := len(w.tks); n > 0 {
-			w.tks[int(arg)%n].SetInterval(scriptInterval(arg >> 3))
 		}
 	case 7:
 		w.oneShot(scriptDelay(arg))
@@ -311,7 +292,7 @@ func runTickerScript(t *testing.T, ops, acts []byte) {
 // callbacks at the same clock bits, and the same schedule, fire and
 // cancel trace, under random scripts of tickers with several intervals,
 // one-shot events, Stop from a ticker's own callback and from others,
-// SetInterval, tickers created inside callbacks, deferred-slot chains
+// tickers created inside callbacks, deferred-slot chains
 // run through TryFireInline, Step, Run, RunUntil, Horizon, Stop, and
 // Reset with stale handles poked afterwards.
 func FuzzTickerMatchesHeapTicker(f *testing.F) {
@@ -340,7 +321,7 @@ func TestTryFireInlineRunsThroughTicker(t *testing.T) {
 	e.SetRecorder(rec)
 	var ticks []Time
 	e.Tick(0.5, func() { ticks = append(ticks, e.Now()) })
-	d := e.DeferAfter(1.2)
+	d := e.DeferAt(1.2)
 	if !e.TryFireInline(d) {
 		t.Fatal("TryFireInline refused a slot behind only ticks")
 	}
@@ -366,7 +347,7 @@ func TestTryFireInlineRunsThroughTicker(t *testing.T) {
 func TestTryFireInlineRechecksAfterTick(t *testing.T) {
 	e := New()
 	e.Tick(1, func() { e.Stop() })
-	if e.TryFireInline(e.DeferAfter(2)) {
+	if e.TryFireInline(e.DeferAt(2)) {
 		t.Error("slot fired inline after a tick stopped the engine")
 	}
 	if e.Now() != 1 {
@@ -376,7 +357,7 @@ func TestTryFireInlineRechecksAfterTick(t *testing.T) {
 	e2 := New()
 	e2.Horizon = 10
 	e2.Tick(1, func() { e2.Horizon = 1.5 })
-	if e2.TryFireInline(e2.DeferAfter(2)) {
+	if e2.TryFireInline(e2.DeferAt(2)) {
 		t.Error("slot fired inline past a horizon the tick moved")
 	}
 }
@@ -387,12 +368,12 @@ func TestTryFireInlineTickerSequenceTieBreak(t *testing.T) {
 	e := New()
 	fired := false
 	e.Tick(2, func() { fired = true }) // seq 0
-	if !e.TryFireInline(e.DeferAfter(2)) || !fired {
+	if !e.TryFireInline(e.DeferAt(2)) || !fired {
 		t.Error("slot behind a same-time tick with an earlier seq did not fire after it")
 	}
 
 	e2 := New()
-	d := e2.DeferAfter(2) // seq 0
+	d := e2.DeferAt(2) // seq 0
 	fired = false
 	e2.Tick(2, func() { fired = true }) // seq 1
 	if !e2.TryFireInline(d) || fired {
@@ -453,7 +434,7 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 			t.Errorf("traced=%v: tick fire and re-arm allocated %.1f times", traced, got)
 		}
 		if got := testing.AllocsPerRun(200, func() {
-			if !e.TryFireInline(e.DeferAfter(0.3)) {
+			if !e.TryFireInline(e.DeferAt(e.Now() + 0.3)) {
 				t.Fatal("slot behind ticks refused")
 			}
 		}); got != 0 {

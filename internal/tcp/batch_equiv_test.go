@@ -1,7 +1,7 @@
-// Equivalence and invalidation tests for the round-coalescing batcher.
-// They live in the external test package so they can drive a real MPTCP
-// connection (importing mptcp from package tcp would be a cycle) through
-// the test-only hooks in export_test.go.
+// Equivalence tests for the round-coalescing batcher. They live in the
+// external test package so they can drive a real MPTCP connection
+// (importing mptcp from package tcp would be a cycle) through the
+// test-only hook in export_test.go.
 package tcp_test
 
 import (
@@ -37,11 +37,11 @@ type batchDigest struct {
 }
 
 // runBatchScenario runs one seeded two-path MPTCP transfer — a WiFi path
-// whose capacity flaps under an on/off modulator (rate-epoch breaks
-// mid-batch), a lossy LTE path (per-round Bernoulli draws) whose loss
-// probability switches between two levels every flipCs centiseconds
+// whose capacity flaps under an on/off modulator (rate changes between
+// batched rounds), a lossy LTE path (per-round Bernoulli draws) whose
+// loss probability switches between two levels every flipCs centiseconds
 // until the download completes, an MP_PRIO suspend/resume cycle on LTE,
-// a 0.1 s meter-like ticker that invalidates both batches on every
+// a 0.1 s meter-like ticker that flips LTE's backup state on every
 // meterBreak-th tick, and a second ticker with a period of tickCs
 // centiseconds stopped mid-run — with the given round-coalescing cap, and
 // digests the outcome.
@@ -72,14 +72,15 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 	opts := mptcp.DefaultOptions()
 	opts.SubflowConfig.DisableIdleCwndReset = disableReset
 	conn := mptcp.New(eng, src, opts)
-	wifi := conn.AddSubflow("wifi", energy.WiFi, wifiPath, nil, 0)
+	conn.AddSubflow("wifi", energy.WiFi, wifiPath, nil, 0)
 	lte := conn.AddSubflow("lte", energy.LTE, ltePath, nil, 0.02)
 
 	// The meter reads the transfer's progress, as the power monitor
 	// does, so a tick run inline inside a batch must see exactly the
-	// state its heap dispatch saw; every meterBreak-th tick also breaks
-	// both batches, as a radio-state change does. The download's
-	// completion stops it, from inside a round.
+	// state its heap dispatch saw; every meterBreak-th tick also flips
+	// LTE's backup state, an MP_PRIO change made from a tick that may run
+	// inline within WiFi's batch. The download's completion stops it,
+	// from inside a round.
 	var meter uint64
 	observe := func(tag uint64) {
 		meter = meter*1099511628211 ^ tag ^ math.Float64bits(eng.Now()) ^ uint64(conn.Delivered())
@@ -89,8 +90,7 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 		observe(1)
 		ticks++
 		if meterBreak > 0 && ticks%int(meterBreak) == 0 {
-			wifi.InvalidateBatch()
-			lte.InvalidateBatch()
+			conn.SetBackup(lte, !lte.Suspended())
 		}
 	})
 
@@ -208,87 +208,4 @@ func FuzzBatchedRoundEquivalence(f *testing.F) {
 				i, len(batched.trace), len(plain.trace))
 		}
 	})
-}
-
-// Every batch-invalidation source must reach the requester's batchBroken
-// flag (run this under -race in CI: the flag and the structures around it
-// are engine-single-threaded, and the test documents that contract).
-func TestBatchInvalidationHooks(t *testing.T) {
-	newConn := func(jitter float64) (*sim.Engine, *mptcp.Connection, *tcp.Subflow, *tcp.Subflow) {
-		eng := sim.New()
-		src := simrng.New(7)
-		opts := mptcp.DefaultOptions()
-		opts.SubflowConfig.RTTJitter = jitter
-		conn := mptcp.New(eng, src, opts)
-		wifi := conn.AddSubflow("wifi", energy.WiFi,
-			&tcp.Path{Name: "wifi", Capacity: link.NewConstant(units.MbpsRate(10)), BaseRTT: 0.02}, nil, 0)
-		lte := conn.AddSubflow("lte", energy.LTE,
-			&tcp.Path{Name: "lte", Capacity: link.NewConstant(units.MbpsRate(10)), BaseRTT: 0.2}, nil, 0)
-		return eng, conn, wifi, lte
-	}
-
-	t.Run("suspend", func(t *testing.T) {
-		_, _, wifi, _ := newConn(0)
-		wifi.ResetBatchBroken()
-		wifi.Suspend()
-		if !wifi.BatchBroken() {
-			t.Error("Suspend did not invalidate the batch")
-		}
-	})
-
-	t.Run("resume", func(t *testing.T) {
-		_, _, wifi, _ := newConn(0)
-		wifi.Suspend()
-		wifi.ResetBatchBroken()
-		wifi.Resume()
-		if !wifi.BatchBroken() {
-			t.Error("Resume did not invalidate the batch")
-		}
-	})
-
-	t.Run("subflow-join", func(t *testing.T) {
-		eng, conn, wifi, lte := newConn(0)
-		_ = eng
-		wifi.ResetBatchBroken()
-		lte.ResetBatchBroken()
-		conn.AddSubflow("lte2", energy.LTE,
-			&tcp.Path{Name: "lte2", Capacity: link.NewConstant(units.MbpsRate(5)), BaseRTT: 0.1}, nil, 0)
-		if !wifi.BatchBroken() || !lte.BatchBroken() {
-			t.Error("AddSubflow did not invalidate sibling batches")
-		}
-	})
-
-	t.Run("scheduler-defer", func(t *testing.T) {
-		eng, conn, wifi, lte := newConn(0) // zero jitter: SRTT == BaseRTT exactly
-		eng.Run()                          // complete both handshakes; no data yet
-		wifi.ResetBatchBroken()
-		lte.ResetBatchBroken()
-		// Leave less than one LTE window beyond what WiFi grabs first:
-		// kickAll serves WiFi (creation order), then LTE sees scarce data
-		// and a lower-SRTT peer, hits the min-RTT defer branch, and must
-		// break its batch.
-		wifiWant := units.ByteSize(wifi.Cwnd()) * tcp.DefaultConfig().MSS
-		conn.Download(wifiWant+units.KB, func(float64) {})
-		if !lte.BatchBroken() {
-			t.Error("scheduler deferral did not invalidate the requester's batch")
-		}
-	})
-
-	t.Run("rate-epoch", func(t *testing.T) {
-		eng := sim.New()
-		p := &tcp.Path{Name: "tr", Capacity: link.NewTrace(eng, []link.Breakpoint{
-			{At: 0, Rate: units.MbpsRate(10)},
-			{At: 1, Rate: units.MbpsRate(2)},
-		}), BaseRTT: 0.02}
-		p.EnsureRateHook()
-		before := p.Epoch()
-		eng.RunUntil(2)
-		if p.Epoch() == before {
-			t.Error("capacity rate change did not bump the path epoch")
-		}
-	})
-
-	// The sixth source — scenario's radioControl.Activate — loops the same
-	// Subflow.InvalidateBatch over every connection; internal/scenario's
-	// regression and fuzz suites exercise it on every EMPTCP run.
 }

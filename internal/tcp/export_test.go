@@ -10,17 +10,3 @@ func SetMaxBatchRounds(n int) (restore func()) {
 	maxBatchRounds = n
 	return func() { maxBatchRounds = old }
 }
-
-// BatchBroken exposes the batch-invalidation flag so tests can verify
-// that every invalidation source actually reaches the batcher.
-func (sf *Subflow) BatchBroken() bool { return sf.batchBroken }
-
-// ResetBatchBroken clears the batch-invalidation flag so a test can watch
-// it flip for one specific invalidation source.
-func (sf *Subflow) ResetBatchBroken() { sf.batchBroken = false }
-
-// Epoch exposes the path's capacity-rate-change counter.
-func (p *Path) Epoch() uint64 { return p.epoch }
-
-// EnsureRateHook exposes the one-time rate-observer registration.
-func (p *Path) EnsureRateHook() { p.ensureRateHook() }

@@ -68,13 +68,6 @@ type Path struct {
 
 	active int // subflows with a round in progress
 
-	// epoch counts capacity-rate changes. The round batcher snapshots it
-	// when a batch opens and falls back to the heap when it moves, so a
-	// modulator/interferer/handover rate flip always breaks the batch even
-	// if it somehow produced no earlier-ordered event. hooked guards the
-	// one-time observer registration.
-	epoch uint64
-
 	// lossProc caches the Capacity's LossProcess assertion: LossProb runs
 	// once per round, and the dynamic type of Capacity never changes over
 	// a Path's lifetime.
@@ -85,19 +78,7 @@ type Path struct {
 	// lossless path carries only the pointer.
 	loss *roundLoss
 
-	hooked      bool
 	lossChecked bool
-}
-
-// ensureRateHook registers (once) a capacity observer that bumps the
-// path's rate-change epoch. The observer has no observable side effects —
-// it exists purely so the batch loop can detect mid-batch rate changes.
-func (p *Path) ensureRateHook() {
-	if p.hooked || p.Capacity == nil {
-		return
-	}
-	p.hooked = true
-	p.Capacity.OnChange(func(units.BitRate) { p.epoch++ })
 }
 
 // LossProb returns the path's current per-packet random loss probability.
@@ -181,15 +162,6 @@ type Subflow struct {
 	suspended bool
 	inRound   bool
 	everSent  bool
-	// batchBroken is set by InvalidateBatch and forces the round batcher
-	// to fall back to the event heap at the next round boundary. It is a
-	// defense-in-depth hook: TryFireInline alone already guarantees
-	// ordering, because every invalidation source is either an event
-	// dispatched ahead of the round (an earlier heap event blocks
-	// inlining; an earlier tick runs first, inside TryFireInline) or
-	// synchronous inside the round body, and thus sequenced identically
-	// either way.
-	batchBroken bool
 
 	lastSendAt float64 // end of the most recent active round
 
@@ -361,21 +333,9 @@ func (sf *Subflow) established() {
 // per deferral. Any number of arms may be outstanding at once.
 func (sf *Subflow) KickFunc() func() { return sf.kickFn }
 
-// InvalidateBatch asks the round batcher to stop coalescing at the next
-// round boundary and re-enter the engine through the event heap. Layers
-// above call it whenever subflow-external state changes mid-round — an
-// MP_PRIO flip, a subflow join, a scheduler deferral, a radio-state
-// change — as a belt-and-braces guarantee on top of the engine-level
-// TryFireInline ordering check. Calling it outside a batch is a cheap
-// no-op (the flag is cleared when the next batch opens).
-func (sf *Subflow) InvalidateBatch() { sf.batchBroken = true }
-
 // Suspend places the subflow in backup mode (the MP_PRIO low-priority
 // signal): it finishes the round in flight and then requests no more data.
-func (sf *Subflow) Suspend() {
-	sf.suspended = true
-	sf.InvalidateBatch()
-}
+func (sf *Subflow) Suspend() { sf.suspended = true }
 
 // Resume lifts backup mode. Per RFC 2861, a window that sat idle longer
 // than the RTO collapses back to the initial window — unless the
@@ -388,7 +348,6 @@ func (sf *Subflow) Resume() {
 		return
 	}
 	sf.suspended = false
-	sf.InvalidateBatch()
 	sf.applyIdleReset()
 	if sf.cfg.DisableIdleCwndReset {
 		sf.srtt = 1e-3 // §3.6: report ~zero RTT until data rounds re-measure it
@@ -468,7 +427,7 @@ func (sf *Subflow) startRound(deferOK bool) *roundState {
 	r.lost = congested || lp != 0 && sf.path.lostRound(sf.src, lp, max(1, float64(n)/float64(sf.cfg.MSS)))
 	r.dur = dur
 	if deferOK {
-		r.def = sf.eng.DeferAfter(dur)
+		r.def = sf.eng.DeferAt(sf.eng.Now() + dur)
 		return r
 	}
 	sf.eng.After(dur, r.endFn)
@@ -505,25 +464,25 @@ var maxBatchRounds = 64
 // end is the round-completion event body — and the round batcher. The
 // engine fires it once; it then executes up to maxBatchRounds rounds
 // inline, as long as each round's completion is provably the very next
-// event the engine would dispatch (TryFireInline), nothing invalidated
-// the batch (InvalidateBatch, a capacity-rate epoch bump), and the cap
-// has not been hit. Every coalesced round performs identical arithmetic,
-// RNG draws, trace emissions, and source callbacks at identical virtual
-// times; only the k−1 heap pushes/pops and engine Step round-trips are
-// skipped.
+// event the engine would dispatch (TryFireInline) and the cap has not
+// been hit. That one check is enough: whatever changes the subflow's
+// world between rounds — an MP_PRIO flip, a subflow join, a scheduler
+// deferral, a radio activation, a capacity change — is either an event
+// ordered ahead of the round, which TryFireInline refuses the slot for
+// or fires first (a tick), or runs synchronously inside a round body,
+// in the same order batched or not. Every coalesced round performs
+// identical arithmetic, RNG draws, trace emissions, and source callbacks
+// at identical virtual times; only the k−1 heap pushes/pops and engine
+// Step round-trips are skipped.
 func (r *roundState) end() {
 	sf := r.sf
-	sf.batchBroken = false
-	sf.path.ensureRateHook()
-	epoch := sf.path.epoch
 	for k := 0; ; k++ {
 		next := sf.finishRound(r)
 		if next == nil {
 			return // subflow idle, suspended, or on the dead-path timer
 		}
 		r = next
-		if k >= maxBatchRounds || sf.batchBroken || sf.path.epoch != epoch ||
-			!sf.eng.TryFireInline(r.def) {
+		if k >= maxBatchRounds || !sf.eng.TryFireInline(r.def) {
 			sf.eng.CommitDeferred(r.def, r.endFn)
 			return
 		}
