@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,6 +73,10 @@ func TestLargestGridShards(t *testing.T) {
 }
 
 func TestSpecValidateDefaultsAndErrors(t *testing.T) {
+	goods := make([]string, 300)
+	for i := range goods {
+		goods[i] = "good"
+	}
 	s := Spec{Seeds: SeedRange{Count: 1}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("minimal spec: %v", err)
@@ -100,12 +106,30 @@ func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 		// 2^64+4 runs: the product wrapped to 4, the key memo's base
 		// grid to 0 runs, and the first run divided by zero.
 		oneCellSpec(1<<62+1, 4),
+		// A ~4 KB body of 300 "good"s in wifi and lte: New compiled
+		// 270,000 cells and 270,000 scenarios for it.
+		{WiFi: goods, LTE: goods, Seeds: SeedRange{Count: 1}},
+		{WiFi: []string{"good", "GOOD"}, Seeds: SeedRange{Count: 1}},
+		{LTE: []string{"bad", "good", "bad"}, Seeds: SeedRange{Count: 1}},
+		{Locations: []string{"wdc", "Wdc"}, Seeds: SeedRange{Count: 1}},
+		{SizesMB: []float64{1, 0.25, 1}, Seeds: SeedRange{Count: 1}},
+		{SizesMB: append(maxSizesMB(), 100), Seeds: SeedRange{Count: 1}},
+		{Protocols: []string{"mptcp", "emptcp", "MPTCP"}, Seeds: SeedRange{Count: 1}},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("bad spec %d validated: %+v", i, b)
 		}
 	}
+}
+
+// maxSizesMB is the longest sizes_mb list Validate accepts.
+func maxSizesMB() []float64 {
+	sizes := make([]float64, maxSizes)
+	for i := range sizes {
+		sizes[i] = float64(i+1) / 4
+	}
+	return sizes
 }
 
 func TestSpecDigestIdentity(t *testing.T) {
@@ -133,6 +157,30 @@ func TestSpecDigestIdentity(t *testing.T) {
 	c.Seeds.Base = 7
 	if dc, _ := c.Digest(); dc == db {
 		t.Error("different seed base, same digest")
+	}
+	// Specs without repeated list entries keep the digests they had
+	// before Validate refused repeats.
+	for _, tc := range []struct {
+		spec   Spec
+		digest string
+	}{
+		{smallSpec(), "fc0fc1426b15e391cad16d13e72cc505506e6c77ae138a7fe7887dd5d06ae968"},
+		{Spec{Seeds: SeedRange{Count: 1}}, "e77683e3f1d828ca74846f601debf85ae4e9fbaee7527b6c5f0ebb00a0eab5bb"},
+		{Spec{Name: "wild", Device: "s3", WiFi: []string{"bad", "good"}, LTE: []string{"bad", "good"},
+			Locations: []string{"wdc", "ams", "sng"}, SizesMB: []float64{0.25, 16},
+			Protocols: []string{"mptcp", "emptcp", "tcp-wifi"}, Seeds: SeedRange{Base: 11, Count: 200}},
+			"7d37c2eb1cae0b7e47e1e6042aeaa7347bb6e3772863e76841b207fba539d6dc"},
+		{Spec{Device: "N5", WiFi: []string{"GOOD", "bad"}, LTE: []string{"good"},
+			Locations: []string{"SNG", "wdc", "ams"}, SizesMB: []float64{4096, 0.5, 1e-3},
+			Protocols: []string{"single-path", "mdp", "wifi-first", "emptcp", "mptcp", "tcp-lte", "tcp-wifi"},
+			Seeds:     SeedRange{Base: -5, Count: 7}, Replicate: 3, ShardSize: 9},
+			"56b80cccaeee6d5a984358329884fcda6a05a72df3d5b4bbba2494d10da4783f"},
+		{Spec{SizesMB: maxSizesMB(), Seeds: SeedRange{Count: 1}}, "c26371ae56f0706ee503f22f6f61ef6e1849658ea998671d14d6e7229b52935e"},
+	} {
+		d, err := tc.spec.Digest()
+		if got := hex.EncodeToString(d[:]); err != nil || got != tc.digest {
+			t.Errorf("digest of %+v = %s (%v), want %s", tc.spec, got, err, tc.digest)
+		}
 	}
 	// Digest must not mutate its receiver's normalisation state.
 	blank := Spec{Seeds: SeedRange{Count: 2}}
@@ -234,7 +282,7 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newExecutor(g, nil)
-		e.memoizeKeys(2)
+		e.memoizeKeys()
 		radix := []int{seeds, len(spec.Locations), len(spec.Protocols), len(spec.SizesMB), len(spec.LTE), len(spec.WiFi)}
 		for i := uint64(0); i < g.total; i++ {
 			var d [6]int
@@ -268,6 +316,70 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 				t.Fatalf("seeds=%d run %d: runAt's scenario %q keys differently from %q", seeds, i, rsc.Name, sc.Name)
 			}
 		}
+	}
+}
+
+// The key memo holds at most maxMemoRuns keys: a base grid of exactly
+// that many runs is memoized whole, one run more keeps the memo at the
+// bound and keys its last base run through grid.keyAt, an unreplicated
+// grid keeps none, and the executor keys every sampled run like the
+// grid in each case.
+func TestKeyMemoBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct{ replicate, base, memo int }{
+		{2, maxMemoRuns, maxMemoRuns},
+		{2, maxMemoRuns + 1, maxMemoRuns},
+		{1, maxMemoRuns, 0},
+	} {
+		g, err := compile(oneCellSpec(tc.replicate, tc.base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newExecutor(g, nil)
+		e.memoizeKeys()
+		if len(e.keys) != tc.memo {
+			t.Fatalf("base grid of %d runs ×%d: memo of %d keys, want %d", tc.base, tc.replicate, len(e.keys), tc.memo)
+		}
+		base := uint64(tc.base)
+		sample := []uint64{0, 1, maxMemoRuns - 1, base - 1, g.total - 1}
+		if g.total > base {
+			sample = append(sample, base, base+maxMemoRuns-1, base+maxMemoRuns)
+		}
+		for k := 0; k < 64; k++ {
+			sample = append(sample, rng.Uint64()%g.total)
+		}
+		for _, i := range sample {
+			if e.keyAt(i) != g.keyAt(i) {
+				t.Fatalf("base grid of %d runs ×%d: executor key of run %d differs from grid.keyAt", tc.base, tc.replicate, i)
+			}
+		}
+	}
+}
+
+// A base grid far past the memo bound runs and cancels like any other.
+// This one-cell spec of 2^47 runs validates, and Execute used to panic
+// at once allocating a memo of 2^46 keys (makeslice: len out of range)
+// outside any recover, ending the process.
+func TestHugeBaseGridRunsAndCancels(t *testing.T) {
+	j, err := New(oneCellSpec(2, 1<<46), Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- j.Execute() }()
+	for j.Progress().RunsDone == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("Execute returned %v before its first run", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	j.Cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("cancelled Execute returned %v", err)
+	}
+	if p := j.Progress(); p.Status != StatusCancelled {
+		t.Fatalf("status %v (%s), want cancelled", p.Status, p.Error)
 	}
 }
 

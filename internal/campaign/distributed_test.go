@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,7 +44,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestLeaseTableLifecycle(t *testing.T) {
 	clk := newFakeClock()
-	lt := newLeaseTable(3, 10*time.Second, clk.now)
+	lt := newLeaseTable(3, 1, 10*time.Second, clk.now)
 
 	// Fresh shards hand out lowest-first.
 	s0, tok0, ok := lt.acquire("w1")
@@ -84,32 +85,83 @@ func TestLeaseTableLifecycle(t *testing.T) {
 		t.Fatalf("expired = %d, want 2 (shards 1 and 2)", st.Expired)
 	}
 
-	// First completion wins; the late duplicate is flagged.
-	if dup := lt.complete(1); dup {
+	// First completion wins; the late duplicate is flagged. Shard 1
+	// parks until shard 0 merges.
+	if dup := lt.complete(1, newAgg(1)); dup {
 		t.Fatal("first completion reported duplicate")
 	}
-	if dup := lt.complete(1); !dup {
+	if dup := lt.complete(1, newAgg(1)); !dup {
 		t.Fatal("second completion not reported duplicate")
+	}
+	if st := lt.state(); st.Done != 1 || lt.merged != 0 || len(lt.pending) != 1 {
+		t.Fatalf("after shard 1: done %d, merged %d, pending %d; want 1, 0, 1", st.Done, lt.merged, len(lt.pending))
 	}
 
 	// An expired-lease completion is still accepted first-write-wins.
-	if dup := lt.complete(2); dup {
+	if dup := lt.complete(2, newAgg(1)); dup {
 		t.Fatal("expired-lease completion rejected")
 	}
-	if dup := lt.complete(0); dup {
+	select {
+	case <-lt.finished:
+		t.Fatal("finished closed with shard 0 outstanding")
+	default:
+	}
+	if dup := lt.complete(0, newAgg(1)); dup {
 		t.Fatal("completion of renewed shard 0 rejected")
 	}
-	if !lt.allDone() {
-		t.Fatal("allDone false with every shard complete")
+	select {
+	case <-lt.finished:
+	default:
+		t.Fatal("finished open with every shard complete")
 	}
 	st := lt.state()
-	if st.Done != 3 || st.Leased != 0 || st.Duplicates != 1 || st.Workers != 3 {
-		t.Fatalf("terminal state = %+v", st)
+	if st.Done != 3 || st.Leased != 0 || st.Duplicates != 1 || st.Workers != 3 || len(lt.pending) != 0 {
+		t.Fatalf("terminal state = %+v, %d pending", st, len(lt.pending))
+	}
+	if lt.renew(0, tok0) {
+		t.Fatal("renew of a completed shard succeeded")
+	}
+}
+
+// TestLeaseTableHoldsNoShardEntries is the ledger's memory bound: once
+// a campaign of 1,000 one-run shards completes, the lease table keeps
+// no per-shard entry — pending, leases and the reassignment queue are
+// empty, and no done set exists — while its state still counts every
+// shard done. Two local workers and a remote one race for the shards,
+// so completions may arrive out of order and park in pending.
+func TestLeaseTableHoldsNoShardEntries(t *testing.T) {
+	spec := oneCellSpec(250, 4)
+	spec.ShardSize = 1
+	j, err := New(spec, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		remoteLoop(t, j, "remote/a", done)
+	}()
+	execErr := j.Execute()
+	close(done)
+	wg.Wait()
+	if execErr != nil {
+		t.Fatal(execErr)
+	}
+	lt := j.leases
+	st := lt.state()
+	if st.Shards != 1000 || st.Done != 1000 || lt.merged != 1000 {
+		t.Fatalf("state %+v, merged %d: want 1,000 shards done and merged", st, lt.merged)
+	}
+	if len(lt.pending) != 0 || len(lt.leases) != 0 || len(lt.free) != 0 {
+		t.Fatalf("finished table holds %d pending, %d leases, %d queued shards; want none",
+			len(lt.pending), len(lt.leases), len(lt.free))
 	}
 }
 
 func TestLeaseTableRelease(t *testing.T) {
-	lt := newLeaseTable(2, time.Hour, nil)
+	lt := newLeaseTable(2, 1, time.Hour, nil)
 	s, tok, _ := lt.acquire("w1")
 	lt.release(s, "wrong-token") // no-op
 	if _, _, ok := lt.acquire("w2"); !ok {
@@ -146,23 +198,26 @@ func TestShardCodecRoundTrip(t *testing.T) {
 		payloads = append(payloads, encodeShardAgg(scenario.KeyVersion, digest, s, hi-lo, 7, 3, a))
 	}
 
-	// Decoding and merging the wire forms reproduces the reference
-	// bytes exactly: the codec is bit-transparent.
+	// Decoding the wire forms and completing them in reverse order
+	// through the lease table reproduces the reference bytes exactly:
+	// the codec is bit-transparent and the table merges in shard order.
 	j2, err := New(spec, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, p := range payloads {
-		rep, err := decodeShardAgg(p, e.g.cells())
+	for s := len(payloads) - 1; s >= 0; s-- {
+		rep, err := decodeShardAgg(payloads[s], e.g.cells())
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
 		if rep.digest != digest || rep.shard != uint64(s) || rep.simulated != 7 || rep.diskHits != 3 {
 			t.Fatalf("shard %d header mismatch: %+v", s, rep)
 		}
-		j2.deliver(rep.shard, rep.agg)
+		if dup := j2.leases.complete(rep.shard, rep.agg); dup {
+			t.Fatalf("shard %d completed twice", s)
+		}
 	}
-	ag, err := j2.g.aggregates(j2.total)
+	ag, err := j2.leases.aggregates(j2.g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +340,61 @@ func TestDistributedByteIdentical(t *testing.T) {
 	}
 	if j.RenewLease(0, "any") {
 		t.Fatal("renew accepted on finished campaign")
+	}
+}
+
+// A Progress that says done counts every run, even one snapshotted
+// while the last remote shard lands: pollers race the only completion
+// of many one-shard campaigns. A summary that loads the counters before
+// it reads the status fails here about one run in two.
+func TestDoneProgressCountsEveryRun(t *testing.T) {
+	spec := smallSpec()
+	spec.ShardSize = 20 // the whole grid in one shard
+	ref, err := New(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ref.exec.foldShard(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, hits := ref.exec.counterDelta()
+	rep := shardReport{shard: 0, runs: 20, simulated: sim, diskHits: hits, agg: a}
+	const pollers = 8
+	for k := 0; k < 2000; k++ {
+		j, err := New(spec, Options{Jobs: 1, noLocalExec: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execErr := make(chan error, 1)
+		go func() { execErr <- j.Execute() }()
+		for !j.running() {
+			runtime.Gosched()
+		}
+		polled := make(chan Progress, pollers)
+		for w := 0; w < pollers; w++ {
+			go func() {
+				for {
+					if p := j.summary(); p.Status != StatusRunning {
+						polled <- p
+						return
+					}
+				}
+			}()
+		}
+		if dup, gone := j.CompleteShard(rep); dup || gone {
+			j.Cancel() // release Execute and the pollers
+			t.Fatalf("campaign %d: completion dup=%v gone=%v", k, dup, gone)
+		}
+		if err := <-execErr; err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < pollers; w++ {
+			p := <-polled
+			if p.Status != StatusDone || p.RunsDone != p.TotalRuns || p.RemoteRuns != p.TotalRuns || p.Simulated != sim {
+				t.Fatalf("campaign %d: polled %+v, want done with all %d runs counted", k, p, p.TotalRuns)
+			}
+		}
 	}
 }
 

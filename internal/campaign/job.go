@@ -91,15 +91,15 @@ type executor struct {
 	// and later duplicates are served by the disk store instead.
 	flight *runcache.Flight[scenario.Result]
 
-	// keys memoizes the base grid's cache keys when Replicate > 1:
-	// replica r of run i shares run i's key, so a replayed replica costs
-	// a slice read instead of grid.keyAt's scenario.RunKey hash. Sized
-	// to one replica — the base grid — so population-scale campaigns
-	// (small grid, huge Replicate) pay O(base), not O(runs). Filled
-	// once before the first shard folds; read-only after.
+	// keys memoizes the cache keys of the base grid's first maxMemoRuns
+	// runs when Replicate > 1: replica r of base run b shares b's key,
+	// so a replayed replica of a memoized run costs a slice read instead
+	// of grid.keyAt's scenario.RunKey hash; base runs past the memo key
+	// through grid.keyAt. base is the base grid's run count. The first
+	// foldShard fills both; read-only after.
 	keyOnce sync.Once
 	keys    []runcache.Key
-	baseN   uint64
+	base    uint64
 
 	simulated atomic.Uint64
 	diskHits  atomic.Uint64
@@ -149,46 +149,37 @@ func (e *executor) nShards() uint64 {
 	return (e.g.total-1)/uint64(e.g.spec.ShardSize) + 1
 }
 
+// maxMemoRuns bounds the key memo at 2 MB of keys (32 B each), which
+// fill in ~17 ms ahead of every local worker's first shard; DESIGN
+// §4.12 has the measurements behind the bound.
+const maxMemoRuns = 1 << 16
+
 // memoizeKeys fills the key memo from grid.keyAt — one RunKey over a
-// compiled base key per run of one replica — when the grid repeats.
-// Disjoint index ranges per goroutine, so the fill is race-free and the
-// slices are immutable once published by the Once.
-func (e *executor) memoizeKeys(jobs int) {
+// compiled base key per run — for the first maxMemoRuns runs of one
+// replica when the grid repeats. The memo is immutable once published
+// by the Once.
+func (e *executor) memoizeKeys() {
 	e.keyOnce.Do(func() {
-		rep := e.g.spec.Replicate
-		if rep <= 1 {
+		rep := uint64(e.g.spec.Replicate)
+		if rep == 1 {
 			return
 		}
-		if jobs < 1 {
-			jobs = 1
+		base := e.g.total / rep
+		keys := make([]runcache.Key, min(base, maxMemoRuns))
+		for i := range keys {
+			keys[i] = e.g.keyAt(uint64(i))
 		}
-		baseN := e.g.total / uint64(rep)
-		keys := make([]runcache.Key, baseN)
-		var wg sync.WaitGroup
-		chunk := (baseN + uint64(jobs) - 1) / uint64(jobs)
-		for lo := uint64(0); lo < baseN; lo += chunk {
-			hi := lo + chunk
-			if hi > baseN {
-				hi = baseN
-			}
-			wg.Add(1)
-			go func(lo, hi uint64) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					keys[i] = e.g.keyAt(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		e.keys, e.baseN = keys, baseN
+		e.keys, e.base = keys, base
 	})
 }
 
-// keyAt returns run i's cache key: from the memo when the grid
-// repeats, else grid.keyAt's one RunKey over the compiled base key.
+// keyAt returns run i's cache key: from the memo when it holds i's base
+// run, else grid.keyAt's one RunKey over the compiled base key.
 func (e *executor) keyAt(i uint64) runcache.Key {
 	if e.keys != nil {
-		return e.keys[i%e.baseN]
+		if b := i % e.base; b < uint64(len(e.keys)) {
+			return e.keys[b]
+		}
 	}
 	return e.g.keyAt(i)
 }
@@ -196,16 +187,17 @@ func (e *executor) keyAt(i uint64) runcache.Key {
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
 // in index order. onRun fires after each folded run (progress
 // accounting); stop is polled between runs and, when it fires, foldShard
-// returns (nil, nil) — deliver nothing, the shard stays unfinished. A
-// panic anywhere in a run (an engine bug, re-panicked in every waiter
-// of its flight) converts to an error rather than crashing the process.
+// returns (nil, nil) — complete nothing, the shard stays unfinished. A
+// panic anywhere in a run or in the key memo's fill (an engine bug,
+// re-panicked in every waiter of its flight) converts to an error
+// rather than crashing the process.
 func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			a, err = nil, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
 		}
 	}()
-	e.memoizeKeys(runtime.GOMAXPROCS(0))
+	e.memoizeKeys()
 	lo, hi := e.shardRange(s)
 	a = newAgg(e.g.cells())
 	for i := lo; i < hi; i++ {
@@ -281,13 +273,10 @@ type Job struct {
 	cancelCh   chan struct{}
 	cancelOnce sync.Once
 
-	mu        sync.Mutex
-	status    Status
-	err       error
-	total     *agg            // contiguous merged prefix
-	pending   map[uint64]*agg // out-of-order shards awaiting merge
-	nextMerge uint64
-	result    []byte // canonical aggregate bytes, set on done
+	mu     sync.Mutex
+	status Status
+	err    error
+	result []byte // canonical aggregate bytes, set on done
 }
 
 // New compiles the spec into a runnable job. The spec is validated and
@@ -313,11 +302,9 @@ func New(spec Spec, opts Options) (*Job, error) {
 		id:       id,
 		opts:     opts,
 		exec:     exec,
-		leases:   newLeaseTable(exec.nShards(), opts.LeaseTTL, opts.now),
+		leases:   newLeaseTable(exec.nShards(), g.cells(), opts.LeaseTTL, opts.now),
 		cancelCh: make(chan struct{}),
 		status:   StatusQueued,
-		total:    newAgg(g.cells()),
-		pending:  make(map[uint64]*agg),
 	}, nil
 }
 
@@ -346,7 +333,7 @@ func (j *Job) cancelled() bool {
 
 // leaseWait is how long an idle local worker sleeps when every
 // remaining shard is leased out (to remote workers or to its siblings)
-// before re-checking for expiries and completions.
+// before re-checking for expiries.
 const leaseWait = 2 * time.Millisecond
 
 // Execute runs the campaign to completion (or cancellation/failure)
@@ -355,7 +342,8 @@ const leaseWait = 2 * time.Millisecond
 // workers pull shards from the same lease table remote workers do, so
 // a job with no remote workers behaves exactly as before — and with
 // remote workers, Execute returns once every shard (whoever computed
-// it) has merged.
+// it) has merged. A panic in Execute or in a local worker fails the
+// job with the panic's text instead of ending the process.
 func (j *Job) Execute() error {
 	j.mu.Lock()
 	if j.status != StatusQueued {
@@ -366,61 +354,65 @@ func (j *Job) Execute() error {
 	j.status = StatusRunning
 	j.mu.Unlock()
 
-	nShards := j.exec.nShards()
-	j.exec.memoizeKeys(j.opts.Jobs)
-
-	if !j.opts.noLocalExec {
-		var wg sync.WaitGroup
-		for w := 0; w < j.opts.Jobs; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				j.localWorker(fmt.Sprintf("local/%d", w))
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	// Wait out the remote tail: in coordinator-only mode this is the
-	// whole campaign; otherwise remote completions mark a shard done in
-	// the lease table a moment before the merge lands, and this drains
-	// that window so the terminal check below sees the final state.
-	for !j.cancelled() && !j.failed() && (!j.leases.allDone() || !j.merged(nShards)) {
-		time.Sleep(leaseWait)
-	}
-
-	// Flush the disk store in every terminal state: a cancelled (or
-	// failed) campaign's simulated results are its resume state.
-	if serr := j.opts.Disk.Sync(); serr != nil {
-		j.fail(fmt.Errorf("campaign: disk sync: %w", serr))
-	}
-
+	result := j.run()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
 	case j.err != nil:
 		j.status = StatusFailed
-		return j.err
 	case j.cancelled():
 		j.status = StatusCancelled
+	default:
+		j.status, j.result = StatusDone, result
+	}
+	return j.err
+}
+
+// run drives the local workers until the lease table's last shard
+// merges or the job is cancelled, and returns the canonical aggregate
+// bytes, or nil if the job stopped first.
+func (j *Job) run() []byte {
+	defer j.recoverPanic()
+	var wg sync.WaitGroup
+	for w := 0; w < j.opts.Jobs && !j.opts.noLocalExec; w++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			defer j.recoverPanic()
+			j.localWorker(name)
+		}(fmt.Sprintf("local/%d", w))
+	}
+	select {
+	case <-j.leases.finished:
+	case <-j.cancelCh:
+	}
+	wg.Wait()
+
+	// Flush the disk store in every terminal state: a cancelled (or
+	// failed) campaign's simulated results are its resume state.
+	if err := j.opts.Disk.Sync(); err != nil {
+		j.fail(fmt.Errorf("campaign: disk sync: %w", err))
 		return nil
 	}
-	if j.nextMerge != nShards {
-		j.status = StatusFailed
-		j.err = fmt.Errorf("campaign: merged %d of %d shards", j.nextMerge, nShards)
-		return j.err
+	if j.cancelled() {
+		return nil
 	}
-	ag, err := j.g.aggregates(j.total)
+	ag, err := j.leases.aggregates(j.g)
+	var b []byte
 	if err == nil {
-		j.result, err = ag.MarshalCanonical()
+		b, err = ag.MarshalCanonical()
 	}
 	if err != nil {
-		j.status = StatusFailed
-		j.err = err
-		return err
+		j.fail(err)
 	}
-	j.status = StatusDone
-	return nil
+	return b
+}
+
+// recoverPanic, deferred, turns a panic into the job's failure.
+func (j *Job) recoverPanic() {
+	if pv := recover(); pv != nil {
+		j.fail(fmt.Errorf("campaign: job %s panicked: %v", j.id, pv))
+	}
 }
 
 // localWorker is one coordinator-side execution loop: lease a shard,
@@ -428,24 +420,19 @@ func (j *Job) Execute() error {
 // remaining shard is leased to someone else (a remote worker may die
 // and its lease expire back to us).
 func (j *Job) localWorker(name string) {
-	for {
-		if j.cancelled() || j.failed() {
-			return
-		}
+	for !j.cancelled() {
 		s, token, ok := j.leases.acquire(name)
 		if !ok {
-			if j.leases.allDone() {
-				return
-			}
 			select {
 			case <-j.cancelCh:
+				return
+			case <-j.leases.finished:
 				return
 			case <-time.After(leaseWait):
 			}
 			continue
 		}
-		a, err := j.exec.foldShard(s, func() bool { return j.cancelled() || j.failed() },
-			func() { j.runsDone.Add(1) })
+		a, err := j.exec.foldShard(s, j.cancelled, func() { j.runsDone.Add(1) })
 		if err != nil {
 			j.fail(err)
 			return
@@ -454,22 +441,8 @@ func (j *Job) localWorker(name string) {
 			j.leases.release(s, token)
 			return
 		}
-		if dup := j.leases.complete(s); !dup {
-			j.deliver(s, a)
-		}
+		j.leases.complete(s, a)
 	}
-}
-
-func (j *Job) merged(nShards uint64) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextMerge == nShards
-}
-
-func (j *Job) failed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err != nil
 }
 
 func (j *Job) fail(err error) {
@@ -525,15 +498,18 @@ func (j *Job) RenewLease(shard uint64, token string) bool {
 // campaign. The first completion of a shard wins — regardless of lease
 // state, since the bytes are a pure function of the spec — and every
 // later one reports dup=true and is dropped. gone is true when the job
-// no longer accepts results.
+// no longer accepts results. It holds mu throughout, so Execute, which
+// settles the terminal state under mu, never publishes it between the
+// last shard's merge and its run counts.
 func (j *Job) CompleteShard(rep shardReport) (dup, gone bool) {
-	if !j.running() || j.cancelled() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status != StatusRunning || j.cancelled() {
 		return false, true
 	}
-	if dup := j.leases.complete(rep.shard); dup {
+	if j.leases.complete(rep.shard, rep.agg) {
 		return true, false
 	}
-	j.deliver(rep.shard, rep.agg)
 	lo, hi := j.exec.shardRange(rep.shard)
 	j.runsDone.Add(hi - lo)
 	j.remoteRuns.Add(hi - lo)
@@ -542,56 +518,38 @@ func (j *Job) CompleteShard(rep shardReport) (dup, gone bool) {
 	return false, false
 }
 
-// deliver merges shard s's aggregate into the running total the moment
-// it becomes the next contiguous shard; earlier arrivals park in
-// pending. Merge order is therefore always 0,1,2,… regardless of
-// which worker finished when — the whole byte-identical-at-any-shape
-// guarantee lives in this function. Pending stays bounded by the
-// out-of-order window (locally ~Jobs entries; with remote workers, at
-// most the outstanding-lease spread), and holds fixed-size aggregates
-// only — never per-run results.
-func (j *Job) deliver(s uint64, a *agg) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.pending[s] = a
-	for {
-		nxt, ok := j.pending[j.nextMerge]
-		if !ok {
-			return
-		}
-		delete(j.pending, j.nextMerge)
-		j.total.merge(nxt)
-		j.nextMerge++
-	}
-}
-
 // Progress snapshots the job. The aggregate snapshot covers the merged
 // contiguous prefix, so its numbers are exact for the runs they count.
 func (j *Job) Progress() Progress {
-	done := j.runsDone.Load()
-	sim := j.exec.simulated.Load() + j.remoteSim.Load()
-	ls := j.leases.state()
-	p := Progress{
-		ID:         j.id,
-		Name:       j.g.spec.Name,
-		TotalRuns:  j.g.total,
-		RunsDone:   done,
-		Simulated:  sim,
-		DiskHits:   j.exec.diskHits.Load() + j.remoteHits.Load(),
-		RemoteRuns: j.remoteRuns.Load(),
-		Leases:     &ls,
+	p := j.summary()
+	if ag, err := j.leases.aggregates(j.g); err == nil {
+		p.Aggregates = &ag
 	}
-	if done > 0 {
-		p.HitRate = 1 - float64(sim)/float64(done)
-	}
+	return p
+}
+
+// summary is Progress without the aggregate snapshot: counters, status
+// and lease state, with no digest or distribution computed. It reads
+// the status before the counters: a local run is counted before its
+// shard completes and a remote shard's runs under mu, both before
+// Execute settles the status under mu, so a summary that says done
+// carries the final counts.
+func (j *Job) summary() Progress {
+	p := Progress{ID: j.id, Name: j.g.spec.Name, TotalRuns: j.g.total}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	p.Status = j.status
 	if j.err != nil {
 		p.Error = j.err.Error()
 	}
-	if ag, err := j.g.aggregates(j.total); err == nil {
-		p.Aggregates = &ag
+	j.mu.Unlock()
+	ls := j.leases.state()
+	p.RunsDone = j.runsDone.Load()
+	p.Simulated = j.exec.simulated.Load() + j.remoteSim.Load()
+	p.DiskHits = j.exec.diskHits.Load() + j.remoteHits.Load()
+	p.RemoteRuns = j.remoteRuns.Load()
+	p.Leases = &ls
+	if p.RunsDone > 0 {
+		p.HitRate = 1 - float64(p.Simulated)/float64(p.RunsDone)
 	}
 	return p
 }

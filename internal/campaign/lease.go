@@ -2,7 +2,7 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -58,9 +58,16 @@ type LeaseState struct {
 	Workers    int    `json:"workers"`    // distinct workers ever granted a lease
 }
 
-// leaseTable tracks shard ownership for one job. All methods are
-// safe for concurrent use; time is injected so tests can drive expiry
-// deterministically.
+// leaseTable is a job's one record of shard state: which worker holds
+// which shard, and which shards are done. A shard is done if and only
+// if it is below merged or parked in pending. complete keeps a shard's
+// first completion and folds completed shards into total in shard
+// order 0,1,2,…, whatever order they arrive in — the whole
+// byte-identical-at-any-shape guarantee lives there — so the table
+// holds an entry only for a shard that is leased, queued for
+// reassignment or waiting on an earlier one: O(pending window), never
+// O(shards). All methods are safe for concurrent use; time is injected
+// so tests can drive expiry deterministically.
 type leaseTable struct {
 	mu  sync.Mutex
 	ttl time.Duration
@@ -69,27 +76,47 @@ type leaseTable struct {
 	n       uint64            // total shards
 	next    uint64            // next never-assigned shard
 	leases  map[uint64]*lease // outstanding, keyed by shard
-	done    map[uint64]bool   // completed shards
-	free    []uint64          // expired shards awaiting reassignment, ascending
+	free    []uint64          // expired or released shards awaiting reassignment, ascending
 	seq     uint64            // token counter
 	workers map[string]bool
+
+	total    *agg            // shards [0, merged), folded in shard order
+	merged   uint64          // shards below it are done and folded into total
+	pending  map[uint64]*agg // done shards above merged, awaiting the gap
+	finished chan struct{}   // closed when the last shard merges
 
 	expired    uint64
 	duplicates uint64
 }
 
-func newLeaseTable(nShards uint64, ttl time.Duration, now func() time.Time) *leaseTable {
+func newLeaseTable(nShards uint64, cells int, ttl time.Duration, now func() time.Time) *leaseTable {
 	if now == nil {
 		now = time.Now
 	}
 	return &leaseTable{
-		ttl:     ttl,
-		now:     now,
-		n:       nShards,
-		leases:  make(map[uint64]*lease),
-		done:    make(map[uint64]bool),
-		workers: make(map[string]bool),
+		ttl:      ttl,
+		now:      now,
+		n:        nShards,
+		leases:   make(map[uint64]*lease),
+		workers:  make(map[string]bool),
+		total:    newAgg(cells),
+		pending:  make(map[uint64]*agg),
+		finished: make(chan struct{}),
 	}
+}
+
+// doneLocked reports whether shard s has completed. Callers hold mu.
+func (lt *leaseTable) doneLocked(s uint64) bool {
+	_, parked := lt.pending[s]
+	return s < lt.merged || parked
+}
+
+// requeueLocked drops shard s's lease and queues s for reassignment,
+// keeping free ascending. Callers hold mu.
+func (lt *leaseTable) requeueLocked(s uint64) {
+	delete(lt.leases, s)
+	i, _ := slices.BinarySearch(lt.free, s)
+	lt.free = slices.Insert(lt.free, i, s)
 }
 
 // reapLocked moves every expired lease to the reassignment queue.
@@ -98,41 +125,29 @@ func (lt *leaseTable) reapLocked() {
 	t := lt.now()
 	for s, l := range lt.leases {
 		if t.After(l.expires) {
-			delete(lt.leases, s)
 			lt.expired++
-			i := sort.Search(len(lt.free), func(i int) bool { return lt.free[i] >= s })
-			lt.free = append(lt.free, 0)
-			copy(lt.free[i+1:], lt.free[i:])
-			lt.free[i] = s
+			lt.requeueLocked(s)
 		}
 	}
 }
 
 // acquire grants the lowest-index unowned shard to worker, preferring
-// expired reassignments over fresh shards so the coordinator's in-order
-// merge window stays small. ok is false when every remaining shard is
-// done or leased out — the caller either waits (a lease may expire) or,
-// if allDone, stops.
+// expired reassignments over fresh shards so the in-order merge window
+// stays small. ok is false when every remaining shard is done or leased
+// out — the caller waits (a lease may expire) or, once finished is
+// closed, stops.
 func (lt *leaseTable) acquire(worker string) (shard uint64, token string, ok bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	lt.reapLocked()
-	for len(lt.free) > 0 {
+	for !ok && len(lt.free) > 0 {
 		shard, lt.free = lt.free[0], lt.free[1:]
-		if !lt.done[shard] {
-			ok = true
-			break
-		}
+		ok = !lt.doneLocked(shard)
 	}
-	if !ok {
-		for lt.next < lt.n {
-			shard = lt.next
-			lt.next++
-			if !lt.done[shard] {
-				ok = true
-				break
-			}
-		}
+	for !ok && lt.next < lt.n {
+		shard = lt.next
+		lt.next++
+		ok = !lt.doneLocked(shard)
 	}
 	if !ok {
 		return 0, "", false
@@ -146,32 +161,44 @@ func (lt *leaseTable) acquire(worker string) (shard uint64, token string, ok boo
 
 // renew extends the lease's deadline. It fails when the lease has
 // already expired and been reassigned (token mismatch), or the shard
-// completed — the holder should abandon the shard in both cases.
+// completed, which drops its lease — the holder should abandon the
+// shard in both cases.
 func (lt *leaseTable) renew(shard uint64, token string) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	l, ok := lt.leases[shard]
-	if !ok || l.token != token || lt.done[shard] {
+	if !ok || l.token != token {
 		return false
 	}
 	l.expires = lt.now().Add(lt.ttl)
 	return true
 }
 
-// complete marks the shard done, first-write-wins: the first completion
-// is accepted even if its lease already expired (the data is a pure
-// function of the spec, so it is exactly the bytes any other worker
-// would produce), and every later completion reports dup=true and must
-// be dropped by the caller.
-func (lt *leaseTable) complete(shard uint64) (dup bool) {
+// complete records shard's aggregate a, first-write-wins: the first
+// completion is accepted even if its lease already expired (the data is
+// a pure function of the spec, so it is exactly the bytes any other
+// worker would produce), and every later completion reports dup=true
+// and is dropped. An accepted shard parks in pending until every
+// earlier shard has merged, then folds into total; pending holds
+// fixed-size aggregates only, never per-run results. complete closes
+// finished when the last shard merges.
+func (lt *leaseTable) complete(shard uint64, a *agg) (dup bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if lt.done[shard] {
+	if lt.doneLocked(shard) {
 		lt.duplicates++
 		return true
 	}
-	lt.done[shard] = true
 	delete(lt.leases, shard)
+	lt.pending[shard] = a
+	for nxt, ok := lt.pending[lt.merged]; ok; nxt, ok = lt.pending[lt.merged] {
+		delete(lt.pending, lt.merged)
+		lt.total.merge(nxt)
+		if lt.merged++; lt.merged == lt.n {
+			lt.free = nil // every queued shard is done
+			close(lt.finished)
+		}
+	}
 	return false
 }
 
@@ -180,22 +207,17 @@ func (lt *leaseTable) complete(shard uint64) (dup bool) {
 func (lt *leaseTable) release(shard uint64, token string) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	l, ok := lt.leases[shard]
-	if !ok || l.token != token {
-		return
+	if l, ok := lt.leases[shard]; ok && l.token == token {
+		lt.requeueLocked(shard)
 	}
-	delete(lt.leases, shard)
-	i := sort.Search(len(lt.free), func(i int) bool { return lt.free[i] >= shard })
-	lt.free = append(lt.free, 0)
-	copy(lt.free[i+1:], lt.free[i:])
-	lt.free[i] = shard
 }
 
-// allDone reports whether every shard has completed.
-func (lt *leaseTable) allDone() bool {
+// aggregates projects the merged prefix of shards: exact for the runs
+// it counts, and the campaign's result once finished is closed.
+func (lt *leaseTable) aggregates(g *grid) (Aggregates, error) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return uint64(len(lt.done)) == lt.n
+	return g.aggregates(lt.total)
 }
 
 func (lt *leaseTable) state() LeaseState {
@@ -203,7 +225,7 @@ func (lt *leaseTable) state() LeaseState {
 	defer lt.mu.Unlock()
 	return LeaseState{
 		Shards:     lt.n,
-		Done:       uint64(len(lt.done)),
+		Done:       lt.merged + uint64(len(lt.pending)),
 		Leased:     uint64(len(lt.leases)),
 		Expired:    lt.expired,
 		Duplicates: lt.duplicates,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +29,7 @@ import (
 // so a serve-mode process with no workers attached behaves exactly like
 // the single-process CLI.
 //
-//	POST /campaigns                   submit a Spec        → 202 Progress
+//	POST /campaigns                   submit a Spec        → 202 Progress / 400 / 413
 //	GET  /campaigns                   list                 → 200 [Progress]
 //	GET  /campaigns/{id}              status + snapshot    → 200 Progress
 //	GET  /campaigns/{id}/spec         normalised spec      → 200 Spec
@@ -160,6 +161,11 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBody bounds a submitted spec. A spec Validate accepts has no
+// repeated list entry and at most maxSizes sizes, a few KB in all, so
+// 1 MB is transport sanity.
+const maxSpecBody = 1 << 20
+
 // handleSubmit accepts a Spec and queues it. Idempotent by digest: a
 // queued/running/done job with the same digest is returned as-is; a
 // failed or cancelled one is replaced by a fresh job, which resumes
@@ -170,9 +176,13 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // is registered only once the queue has taken it, so a 503 for a full
 // queue leaves nothing behind.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSpec(r.Body)
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: bad spec: %w", err))
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("campaign: bad spec: %w", err))
 		return
 	}
 	job, err := New(spec, s.opts)
@@ -194,7 +204,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("campaign: spec digest collision: id %s already names a different campaign", job.ID()))
 			return
 		}
-		st := prev.Progress().Status
+		st := prev.summary().Status
 		if st != StatusFailed && st != StatusCancelled {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, prev.Progress())
@@ -227,21 +237,24 @@ func sameSpec(a, b Spec) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+// summaries lists every campaign in submission order without its
+// aggregates: listings stay light, and workers poll one per lease.
+func (s *Server) summaries() []Progress {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
+	jobs := make([]*Job, 0, len(s.order))
+	for _, id := range s.order {
 		jobs = append(jobs, s.byID[id])
 	}
 	s.mu.Unlock()
 	out := make([]Progress, 0, len(jobs))
 	for _, j := range jobs {
-		p := j.Progress()
-		p.Aggregates = nil // listings stay light
-		out = append(out, p)
+		out = append(out, j.summary())
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.summaries())
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
@@ -433,23 +446,11 @@ type Statz struct {
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	gets, hits, puts := s.opts.Disk.DiskStats()
-	st := Statz{
+	writeJSON(w, http.StatusOK, Statz{
 		CacheGets:    gets,
 		CacheHits:    hits,
 		CachePuts:    puts,
 		CacheEntries: s.opts.Disk.Len(),
-	}
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.byID[id])
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		p := j.Progress()
-		p.Aggregates = nil
-		st.Campaigns = append(st.Campaigns, p)
-	}
-	writeJSON(w, http.StatusOK, st)
+		Campaigns:    s.summaries(),
+	})
 }

@@ -48,7 +48,12 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) Progress {
 			t.Fatal(err)
 		}
 		switch p.Status {
-		case StatusDone, StatusFailed, StatusCancelled:
+		case StatusDone:
+			if p.RunsDone != p.TotalRuns {
+				t.Fatalf("campaign %s done with %d of %d runs counted", id, p.RunsDone, p.TotalRuns)
+			}
+			return p
+		case StatusFailed, StatusCancelled:
 			return p
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -89,7 +94,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Bad submissions are 400 with a JSON error.
-	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{"seeds":{"count":0}}`, `{"protocols":["quic"],"seeds":{"count":1}}`} {
+	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{"seeds":{"count":0}}`, `{"protocols":["quic"],"seeds":{"count":1}}`,
+		`{"wifi":["good","good"],"seeds":{"count":1}}`} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -344,5 +350,50 @@ func TestServerClosedRejectsSubmit(t *testing.T) {
 	code, _ := postSpec(t, ts, smallSpec())
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after close: %d, want 503", code)
+	}
+}
+
+// A panic outside foldShard — here in the lease clock, which every
+// local worker's acquire reads — fails the job with the panic's text
+// instead of ending the process: Execute returns it, Progress reports
+// failed, and a Server running such a job keeps answering /healthz.
+func TestPanicFailsJobNotProcess(t *testing.T) {
+	clock := func() time.Time { panic("lease clock broke") }
+	j, err := New(smallSpec(), Options{Jobs: 2, now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Execute(); err == nil || !strings.Contains(err.Error(), "lease clock broke") {
+		t.Fatalf("Execute = %v, want the panic's text", err)
+	}
+	if p := j.Progress(); p.Status != StatusFailed || !strings.Contains(p.Error, "lease clock broke") {
+		t.Fatalf("status %v (%s), want failed with the panic's text", p.Status, p.Error)
+	}
+
+	srv := NewServerOpts(Options{Jobs: 1, now: clock})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, p := postSpec(t, ts, smallSpec())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	if fin := waitDone(t, ts, p.ID); fin.Status != StatusFailed || !strings.Contains(fin.Error, "lease clock broke") {
+		t.Fatalf("served job %v (%s), want failed with the panic's text", fin.Status, fin.Error)
+	}
+	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz = %d after a job panicked", code)
+	}
+}
+
+// A submit body past maxSpecBody is refused with 413.
+func TestServerSubmitBodyLimit(t *testing.T) {
+	srv := NewServerOpts(Options{Jobs: 1})
+	defer srv.Close()
+	body := `{"name":"` + strings.Repeat("a", maxSpecBody) + `","seeds":{"count":1}}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("submit of %d bytes = %d, want 413", len(body), rec.Code)
 	}
 }

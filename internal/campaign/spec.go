@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/energy"
@@ -98,34 +99,32 @@ func (s *Spec) Validate() error {
 	if len(s.LTE) == 0 {
 		s.LTE = []string{"bad", "good"}
 	}
-	for _, q := range append(append([]string{}, s.WiFi...), s.LTE...) {
-		if _, err := qualityOf(q); err != nil {
-			return err
-		}
-	}
 	if len(s.Locations) == 0 {
 		s.Locations = []string{"wdc", "ams", "sng"}
-	}
-	for _, l := range s.Locations {
-		if _, err := locationOf(l); err != nil {
-			return err
-		}
 	}
 	if len(s.SizesMB) == 0 {
 		s.SizesMB = []float64{16}
 	}
-	for _, mb := range s.SizesMB {
-		if mb <= 0 || mb > 4096 {
-			return fmt.Errorf("campaign: size %vMB out of range (0, 4096]", mb)
-		}
+	if len(s.SizesMB) > maxSizes {
+		return fmt.Errorf("campaign: sizes_mb lists %d sizes, at most %d", len(s.SizesMB), maxSizes)
 	}
 	if len(s.Protocols) == 0 {
 		s.Protocols = []string{"mptcp", "emptcp", "tcp-wifi"}
 	}
-	for _, p := range s.Protocols {
-		if _, err := protocolOf(p); err != nil {
-			return err
-		}
+	if _, err := parseDistinct("wifi", s.WiFi, qualityOf); err != nil {
+		return err
+	}
+	if _, err := parseDistinct("lte", s.LTE, qualityOf); err != nil {
+		return err
+	}
+	if _, err := parseDistinct("locations", s.Locations, locationOf); err != nil {
+		return err
+	}
+	if _, err := parseDistinct("sizes_mb", s.SizesMB, sizeOf); err != nil {
+		return err
+	}
+	if _, err := parseDistinct("protocols", s.Protocols, protocolOf); err != nil {
+		return err
 	}
 	if s.Seeds.Count < 1 {
 		return fmt.Errorf("campaign: seeds.count must be ≥ 1 (got %d)", s.Seeds.Count)
@@ -147,6 +146,30 @@ func (s *Spec) Validate() error {
 			s.Replicate, s.Seeds.Count)
 	}
 	return nil
+}
+
+// maxSizes caps a spec's download sizes. With every other list free of
+// repeats (2 qualities, 3 locations, 7 protocols), a spec then compiles
+// at most 2·2·64·7 = 1,792 cells and 2·2·64·3 = 768 scenarios.
+const maxSizes = 64
+
+// parseDistinct parses every entry of one spec list and refuses an
+// entry that names the same value as an earlier one ("good" and "GOOD"
+// included): a repeat only copies cells and scenarios, and the copies
+// grow with the square of the list's length.
+func parseDistinct[S any, T comparable](field string, in []S, parse func(S) (T, error)) ([]T, error) {
+	out := make([]T, 0, len(in))
+	for _, x := range in {
+		v, err := parse(x)
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("campaign: %s repeats %v", field, x)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // runCount multiplies the grid's factors, reporting false when the
@@ -243,6 +266,13 @@ func locationOf(name string) (scenario.ServerLoc, error) {
 	return 0, fmt.Errorf("campaign: unknown server location %q (want wdc, ams, or sng)", name)
 }
 
+func sizeOf(mb float64) (float64, error) {
+	if mb <= 0 || mb > 4096 {
+		return 0, fmt.Errorf("campaign: size %vMB out of range (0, 4096]", mb)
+	}
+	return mb, nil
+}
+
 func protocolOf(name string) (scenario.Protocol, error) {
 	switch strings.ToLower(name) {
 	case "tcp-wifi":
@@ -298,22 +328,11 @@ func compile(spec Spec) (*grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, q := range spec.WiFi {
-		v, _ := qualityOf(q)
-		g.wifi = append(g.wifi, v)
-	}
-	for _, q := range spec.LTE {
-		v, _ := qualityOf(q)
-		g.lte = append(g.lte, v)
-	}
-	for _, l := range spec.Locations {
-		v, _ := locationOf(l)
-		g.locs = append(g.locs, v)
-	}
-	for _, p := range spec.Protocols {
-		v, _ := protocolOf(p)
-		g.protos = append(g.protos, v)
-	}
+	// Validate has parsed every list, so these cannot fail.
+	g.wifi, _ = parseDistinct("wifi", spec.WiFi, qualityOf)
+	g.lte, _ = parseDistinct("lte", spec.LTE, qualityOf)
+	g.locs, _ = parseDistinct("locations", spec.Locations, locationOf)
+	g.protos, _ = parseDistinct("protocols", spec.Protocols, protocolOf)
 	g.total = spec.TotalRuns()
 	g.scens = make([]compiledScenario, 0, len(g.wifi)*len(g.lte)*len(spec.SizesMB)*len(g.locs))
 	for _, wq := range g.wifi {
