@@ -17,9 +17,9 @@ import (
 )
 
 // runWorker is `emptcpsim worker`: the pull side of distributed
-// campaign execution. It polls the coordinator named by -coordinator
-// for running campaigns, leases shards, executes them against its own
-// -cachedir, and streams the shard aggregates back. Any number of
+// campaign execution. It leases shards of the campaign the coordinator
+// named by -coordinator is running (POST /lease), executes them against
+// its own -cachedir, and streams the shard aggregates back. Any number of
 // workers may attach to one coordinator at any time; joining, leaving,
 // and crashing never change the campaign's output bytes. Each worker
 // needs its own -cachedir — the run cache is single-process.

@@ -62,12 +62,6 @@ func (a *agg) merge(o *agg) {
 	}
 }
 
-func (a *agg) reset() {
-	for i := range a.cells {
-		a.cells[i] = cellAcc{}
-	}
-}
-
 // Dist is the JSON projection of one stats.Stream. Zero-valued when
 // N == 0 (JSON cannot carry NaN).
 type Dist struct {

@@ -448,6 +448,35 @@ func runToBytes(t *testing.T, spec Spec, opts Options) []byte {
 	return b
 }
 
+// TestWarmRunAllocs pins the replay path's allocations: a run served
+// from the store allocates once, for the value Store.Get returns.
+func TestWarmRunAllocs(t *testing.T) {
+	store, err := runcache.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	j, err := New(smallSpec(), Options{Jobs: 1, Disk: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := j.exec
+	if _, err := e.oneRun(3); err != nil { // cold: simulate and store
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.oneRun(3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hits := e.diskHits.Load(); hits != 101 {
+		t.Fatalf("%d store hits, want 101 warm runs", hits)
+	}
+	if allocs > 1 {
+		t.Errorf("a warm run allocates %v times, want at most 1", allocs)
+	}
+}
+
 func TestExecuteByteIdenticalAcrossWorkersAndCache(t *testing.T) {
 	spec := smallSpec()
 	ref := runToBytes(t, spec, Options{Jobs: 1}) // the -j 1 reference
@@ -565,46 +594,64 @@ func TestCancelThenResumeFromDisk(t *testing.T) {
 	}
 }
 
+// TestReplicatedCampaignDedupes: replicas dedupe through the store. At
+// -j 1 every replica folds after its original has landed, so the
+// campaign simulates exactly the base grid. At -j 4 a replica folded
+// while its original is still simulating in another worker simulates
+// once more, to identical bytes, and its Put is a no-op: every run is a
+// simulation or a store hit, and the store holds exactly the base
+// grid's records.
 func TestReplicatedCampaignDedupes(t *testing.T) {
 	spec := smallSpec()
 	spec.Replicate = 5
-	store, err := runcache.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	j, err := New(spec, Options{Jobs: 4, Disk: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	p := j.Progress()
 	baseSpec := smallSpec()
 	base := baseSpec.TotalRuns()
-	if p.TotalRuns != 5*base {
-		t.Fatalf("total %d, want %d", p.TotalRuns, 5*base)
-	}
-	if p.RunsDone != p.TotalRuns {
-		t.Fatalf("done %d of %d", p.RunsDone, p.TotalRuns)
-	}
-	if p.Simulated != base {
-		t.Errorf("simulated %d distinct runs, want %d (replicas must dedupe)", p.Simulated, base)
-	}
-	if uint64(store.Len()) != base {
-		t.Errorf("store holds %d entries, want %d", store.Len(), base)
-	}
-	// Aggregate counts scale with replication even though only one
-	// replica simulated.
-	b, _ := j.Result()
-	ag := mustUnmarshalAgg(t, b)
-	var runs uint64
-	for _, c := range ag.Cells {
-		runs += c.Runs
-	}
-	if runs != p.TotalRuns {
-		t.Errorf("aggregated %d runs, want %d", runs, p.TotalRuns)
+	var ref []byte
+	for _, jobs := range []int{1, 4} {
+		store, err := runcache.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		j, err := New(spec, Options{Jobs: jobs, Disk: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		p := j.Progress()
+		if p.TotalRuns != 5*base {
+			t.Fatalf("-j %d: total %d, want %d", jobs, p.TotalRuns, 5*base)
+		}
+		if p.RunsDone != p.TotalRuns {
+			t.Fatalf("-j %d: done %d of %d", jobs, p.RunsDone, p.TotalRuns)
+		}
+		if jobs == 1 && p.Simulated != base {
+			t.Errorf("-j 1: simulated %d runs, want the %d distinct ones (replicas must dedupe)", p.Simulated, base)
+		}
+		if p.Simulated+p.DiskHits != p.RunsDone {
+			t.Errorf("-j %d: %d simulated + %d store hits, want all %d runs", jobs, p.Simulated, p.DiskHits, p.RunsDone)
+		}
+		if uint64(store.Len()) != base {
+			t.Errorf("-j %d: store holds %d entries, want %d", jobs, store.Len(), base)
+		}
+		// Aggregate counts scale with replication even though the
+		// replicas replayed from the store.
+		b, _ := j.Result()
+		ag := mustUnmarshalAgg(t, b)
+		var runs uint64
+		for _, c := range ag.Cells {
+			runs += c.Runs
+		}
+		if runs != p.TotalRuns {
+			t.Errorf("-j %d: aggregated %d runs, want %d", jobs, runs, p.TotalRuns)
+		}
+		if ref == nil {
+			ref = b
+		} else if !bytes.Equal(b, ref) {
+			t.Errorf("-j %d aggregates differ from -j 1", jobs)
+		}
 	}
 }
 

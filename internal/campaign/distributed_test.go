@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,17 +161,77 @@ func TestLeaseTableHoldsNoShardEntries(t *testing.T) {
 	}
 }
 
-func TestLeaseTableRelease(t *testing.T) {
-	lt := newLeaseTable(2, 1, time.Hour, nil)
-	s, tok, _ := lt.acquire("w1")
-	lt.release(s, "wrong-token") // no-op
-	if _, _, ok := lt.acquire("w2"); !ok {
-		t.Fatal("shard 1 not acquirable")
+// TestLeaseTableTake pins how local folds and remote leases share the
+// table: take hands out the lowest free shard without recording a
+// lease, so it never expires, counts no worker and never goes back to
+// acquire; an expired remote lease is taken back in index order.
+func TestLeaseTableTake(t *testing.T) {
+	clk := newFakeClock()
+	lt := newLeaseTable(4, 1, 10*time.Second, clk.now)
+	if s, ok := lt.take(); !ok || s != 0 {
+		t.Fatalf("take = %d, %v; want shard 0", s, ok)
 	}
-	lt.release(s, tok)
-	got, _, ok := lt.acquire("w2")
-	if !ok || got != s {
-		t.Fatalf("released shard not reassigned: got %d, %v", got, ok)
+	if s, _, ok := lt.acquire("remote/a"); !ok || s != 1 {
+		t.Fatalf("acquire = %d, %v; want shard 1", s, ok)
+	}
+	if st := lt.state(); st.Leased != 1 || st.Workers != 1 {
+		t.Fatalf("state %+v: want the one remote lease and worker only", st)
+	}
+	clk.advance(11 * time.Second)
+	if s, ok := lt.take(); !ok || s != 1 {
+		t.Fatalf("take after expiry = %d, %v; want reassigned shard 1", s, ok)
+	}
+	if s, _, ok := lt.acquire("remote/b"); !ok || s != 2 {
+		t.Fatalf("acquire after expiry = %d, %v; want shard 2, not a taken one", s, ok)
+	}
+	if s, ok := lt.take(); !ok || s != 3 {
+		t.Fatalf("take = %d, %v; want shard 3", s, ok)
+	}
+	if _, ok := lt.take(); ok {
+		t.Fatal("take succeeded with every shard handed out")
+	}
+	if st := lt.state(); st.Expired != 1 || st.Leased != 1 || st.Workers != 2 {
+		t.Fatalf("state %+v: want 1 expiry, 1 lease, 2 workers", st)
+	}
+}
+
+// TestLocalFoldHoldsNoLease plays a local fold that outlives the lease
+// TTL: the injected clock jumps past it while the coordinator's own
+// worker folds the campaign's only shard. A remote lease after the jump
+// must not be granted that shard, and the job ends done with every run
+// counted once.
+func TestLocalFoldHoldsNoLease(t *testing.T) {
+	spec := oneCellSpec(1, 20000)
+	spec.ShardSize = 20000
+	clk := newFakeClock()
+	j, err := New(spec, Options{Jobs: 1, LeaseTTL: 10 * time.Second, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execErr := make(chan error, 1)
+	go func() { execErr <- j.Execute() }()
+	for j.runsDone.Load() == 0 {
+		runtime.Gosched()
+	}
+	clk.advance(11 * time.Second)
+	if g, ok := j.Lease("remote/x"); ok {
+		j.Cancel()
+		<-execErr
+		t.Fatalf("remote worker granted shard %d while a local worker folds it", g.Shard)
+	}
+	mid := j.runsDone.Load()
+	if err := <-execErr; err != nil {
+		t.Fatal(err)
+	}
+	if mid == j.g.total { // ~4 µs a run: the probe lands within the first few hundred
+		t.Fatal("the fold finished before the lease was probed")
+	}
+	p := j.Progress()
+	if p.Status != StatusDone || p.RunsDone != p.TotalRuns {
+		t.Fatalf("status %s with %d of %d runs done", p.Status, p.RunsDone, p.TotalRuns)
+	}
+	if p.Leases.Workers != 0 || p.Leases.Expired != 0 {
+		t.Fatalf("lease state %+v: a local fold leased or expired", p.Leases)
 	}
 }
 
@@ -265,11 +326,9 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 			return
 		default:
 		}
-		// Nothing to lease, or the job is not running: Lease answers
-		// gone for a job that Execute has not started yet as well as
-		// for a finished one. Poll on until done, as Worker does on
-		// both its 204 and its 410.
-		grant, ok, _ := j.Lease(name)
+		// Nothing to lease, or the job is not running yet or any more:
+		// poll on until done, as Worker does on a 204.
+		grant, ok := j.Lease(name)
 		if !ok {
 			time.Sleep(time.Millisecond)
 			continue
@@ -331,8 +390,8 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatalf("lease state = %+v", p.Leases)
 	}
 
-	// Post-completion traffic: everything answers gone.
-	if _, _, gone := j.Lease("remote/late"); !gone {
+	// Post-completion traffic: no lease, and the rest answers gone.
+	if _, ok := j.Lease("remote/late"); ok {
 		t.Fatal("lease granted on finished campaign")
 	}
 	if _, gone := j.CompleteShard(shardReport{shard: 0}); !gone {
@@ -689,9 +748,10 @@ func TestServerShardEndpointValidation(t *testing.T) {
 			t.Errorf("%s = %d, want 400", bad.name, code)
 		}
 	}
-	// Lease and renew on a finished campaign: gone.
-	if code := post("/campaigns/"+p.ID+"/lease?model_version="+strconv.Itoa(scenario.KeyVersion), nil); code != http.StatusGone {
-		t.Fatalf("lease on done campaign = %d, want 410", code)
+	// With the campaign finished, a lease finds nothing to grant and a
+	// renew finds its lease gone.
+	if code := post("/lease?model_version="+strconv.Itoa(scenario.KeyVersion), nil); code != http.StatusNoContent {
+		t.Fatalf("lease with no campaign running = %d, want 204", code)
 	}
 	if code := post("/campaigns/"+p.ID+"/shards/0/renew", nil); code != http.StatusGone {
 		t.Fatalf("renew on done campaign = %d, want 410", code)
@@ -745,7 +805,7 @@ func TestServerShardModelVersionMismatch(t *testing.T) {
 	}
 
 	for _, q := range []string{"?model_version=" + strconv.Itoa(other), "", "?worker=w&model_version=x"} {
-		if code, body := post("/campaigns/"+p.ID+"/lease"+q, nil); code != http.StatusConflict {
+		if code, body := post("/lease"+q, nil); code != http.StatusConflict {
 			t.Errorf("lease%s = %d, want 409 (%s)", q, code, body)
 		}
 	}
@@ -826,25 +886,39 @@ func TestWorkerModelVersionMismatchRefused(t *testing.T) {
 	}
 }
 
-// A coordinator that grants a lease without checking the version (one
-// built before the check) is refused by the worker before it fetches
-// the spec or simulates anything.
-func TestWorkerRefusesMismatchedGrant(t *testing.T) {
+// fakeLeaseCoordinator answers only POST /lease, with the given code
+// and grant, and 404 to anything else; it records every request the
+// worker sends as "METHOD path".
+func fakeLeaseCoordinator(code int, g LeaseGrant) (*httptest.Server, func() []string) {
 	var mu sync.Mutex
-	var paths []string
+	var reqs []string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		paths = append(paths, r.URL.Path)
+		reqs = append(reqs, r.Method+" "+r.URL.Path)
 		mu.Unlock()
 		switch {
-		case r.URL.Path == "/campaigns":
-			writeJSON(w, http.StatusOK, []Progress{{ID: "c1", Status: StatusRunning}})
-		case strings.HasSuffix(r.URL.Path, "/lease"):
-			writeJSON(w, http.StatusOK, LeaseGrant{Campaign: "c1", Shard: 0, Lo: 0, Hi: 1, Token: "t", TTLMs: 1000})
-		default:
+		case r.Method != http.MethodPost || r.URL.Path != "/lease":
 			w.WriteHeader(http.StatusNotFound)
+		case code == http.StatusOK:
+			writeJSON(w, code, g)
+		default:
+			w.WriteHeader(code)
 		}
 	}))
+	return ts, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), reqs...)
+	}
+}
+
+// A coordinator that grants a lease without checking the version (one
+// built before the check) is refused by the worker before it fetches
+// the spec or simulates anything. The fake coordinator answers only
+// POST /lease, so it also sees the worker's whole exchange: one lease
+// request, with no campaign listing before it.
+func TestWorkerRefusesMismatchedGrant(t *testing.T) {
+	ts, reqs := fakeLeaseCoordinator(http.StatusOK, LeaseGrant{Campaign: "c1", Shard: 0, Lo: 0, Hi: 1, Token: "t", TTLMs: 1000})
 	defer ts.Close()
 	w, err := NewWorker(WorkerOptions{Coordinator: ts.URL})
 	if err != nil {
@@ -856,12 +930,25 @@ func TestWorkerRefusesMismatchedGrant(t *testing.T) {
 	if w.Refused.Load() != 1 {
 		t.Fatalf("refused %d grants, want 1", w.Refused.Load())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, p := range paths {
-		if p != "/campaigns" && !strings.HasSuffix(p, "/lease") {
-			t.Fatalf("worker went on to %s after a mismatched grant", p)
-		}
+	if got := reqs(); len(got) != 1 || got[0] != "POST /lease" {
+		t.Fatalf("worker sent %q, want only POST /lease", got)
+	}
+}
+
+// TestWorkerLeasesWithoutListing: with nothing to grant (204), a
+// worker's idle poll is one POST /lease and nothing else.
+func TestWorkerLeasesWithoutListing(t *testing.T) {
+	ts, reqs := fakeLeaseCoordinator(http.StatusNoContent, LeaseGrant{})
+	defer ts.Close()
+	w, err := NewWorker(WorkerOptions{Coordinator: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worked, err := w.once(context.Background()); worked || err != nil {
+		t.Fatalf("once = %v, %v; want an idle poll", worked, err)
+	}
+	if got := reqs(); len(got) != 1 || got[0] != "POST /lease" {
+		t.Fatalf("worker sent %q, want only POST /lease", got)
 	}
 }
 
@@ -925,6 +1012,102 @@ func TestHonestShardsPassValidation(t *testing.T) {
 	}
 	for trial := 0; trial < 2000; trial++ {
 		build(3)
+	}
+}
+
+// walkCellRuns is the reference for grid.runsBelow: it decodes every
+// run of [lo, hi) into its cell.
+func walkCellRuns(g *grid, lo, hi uint64) []uint64 {
+	n := make([]uint64, g.cells())
+	for i := lo; i < hi; i++ {
+		n[g.cellAt(i)]++
+	}
+	return n
+}
+
+// TestRunsBelowMatchesWalk: over random specs (replicas included) and
+// random run ranges, some of them straddling a multiple of the cell
+// period P, the per-cell counts checkShard derives from the grid's mixed
+// radix equal a walk over every run.
+func TestRunsBelowMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(from []string) []string {
+		out := slices.Clone(from)
+		rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+		return out[:1+rng.Intn(len(out))]
+	}
+	for trial := 0; trial < 300; trial++ {
+		spec := Spec{
+			WiFi:      pick([]string{"bad", "good"}),
+			LTE:       pick([]string{"bad", "good"}),
+			Locations: pick([]string{"wdc", "ams", "sng"}),
+			SizesMB:   []float64{0.25, 1, 4}[:1+rng.Intn(3)],
+			Protocols: pick([]string{"tcp-wifi", "tcp-lte", "mptcp", "emptcp", "wifi-first", "mdp", "single-path"}),
+			Seeds:     SeedRange{Base: rng.Int63n(100), Count: 1 + rng.Intn(6)},
+			Replicate: 1 + rng.Intn(4),
+		}
+		g, err := compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := uint64(len(g.locs)) * uint64(g.spec.Seeds.Count) * uint64(g.cells())
+		for r := 0; r < 20; r++ {
+			lo := uint64(rng.Int63n(int64(g.total) + 1))
+			hi := lo + uint64(rng.Int63n(int64(g.total-lo)+1))
+			if r%2 == 1 { // straddle a period boundary
+				k := uint64(rng.Int63n(int64(g.total/period) + 1))
+				lo = k*period - min(k*period, uint64(rng.Intn(int(period)+1)))
+				hi = min(g.total, k*period+uint64(rng.Intn(int(period)+1)))
+			}
+			want := walkCellRuns(g, lo, hi)
+			for c := range want {
+				if got := g.runsBelow(hi, c) - g.runsBelow(lo, c); got != want[c] {
+					t.Fatalf("spec %+v, runs [%d, %d), cell %d: runsBelow gives %d, the walk %d", spec, lo, hi, c, got, want[c])
+				}
+			}
+		}
+	}
+}
+
+// TestHugeShardValidates: checkShard accepts an honest frame for a
+// shard of 2^36 runs at once. A walk over its runs (~25 ns each) would
+// take about half an hour. The shard spans one replica of a two-cell
+// grid (3·2^34 runs, cells in blocks of 3·2^33) and the first 2^34 runs
+// of the next, all in cell 0.
+func TestHugeShardValidates(t *testing.T) {
+	spec := oneCellSpec(2, 3<<33)
+	spec.Protocols = []string{"mptcp", "emptcp"}
+	spec.ShardSize = 1 << 36
+	j, err := New(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := spec.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(runs ...uint64) []byte {
+		a := newAgg(j.g.cells())
+		for i, n := range runs {
+			st := stats.StreamFromMoments(n, 1, 0, 1, 1)
+			a.cells[i] = cellAcc{runs: n, completed: n, energy: st, dltime: st, jpb: st}
+		}
+		return encodeShardAgg(scenario.KeyVersion, digest, 0, 1<<36, 0, 0, a)
+	}
+	for _, tc := range []struct {
+		cell0, cell1 uint64
+		ok           bool
+	}{
+		{5 << 33, 3 << 33, true},
+		{5<<33 - 1, 3<<33 + 1, false}, // one run moved between cells
+	} {
+		rep, err := decodeShardAgg(frame(tc.cell0, tc.cell1), j.g.cells())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.exec.checkShard(0, rep.agg); (err == nil) != tc.ok {
+			t.Errorf("cells %d and %d: checkShard = %v, want ok=%v", tc.cell0, tc.cell1, err, tc.ok)
+		}
 	}
 }
 

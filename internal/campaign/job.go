@@ -58,7 +58,7 @@ type Progress struct {
 	RunsDone  uint64 `json:"runs_done"`
 	// Simulated counts runs actually executed by an engine — locally
 	// or, for leased-out shards, on the remote worker that reported
-	// them; the rest were disk hits or collapsed in-flight duplicates.
+	// them; the rest were disk hits.
 	Simulated uint64  `json:"simulated"`
 	DiskHits  uint64  `json:"disk_hits"`
 	HitRate   float64 `json:"hit_rate"`
@@ -77,19 +77,13 @@ type Progress struct {
 // executor folds shards of a compiled grid into aggregates: the part of
 // campaign execution that is identical whether it runs inside the
 // coordinator's Job or inside a remote `emptcpsim worker`. Each process
-// owns one executor per campaign, with its own disk store, single-
-// flight, and key memo. The grid's compiled scenarios and base keys are
-// read-only, so the executor's goroutines share them: no run assembles
-// a scenario or re-encodes one for its key.
+// owns one executor per campaign, with its own disk store and key memo.
+// The grid's compiled scenarios and base keys are read-only, so the
+// executor's goroutines share them: no run assembles a scenario or
+// re-encodes one for its key.
 type executor struct {
 	g    *grid
 	disk *runcache.Store
-
-	// flight collapses concurrent duplicate runs (replicas landing in
-	// different workers) without retaining results: the key is
-	// forgotten as soon as the flight lands, so memory stays bounded
-	// and later duplicates are served by the disk store instead.
-	flight *runcache.Flight[scenario.Result]
 
 	// keys memoizes the cache keys of the base grid's first maxMemoRuns
 	// runs when Replicate > 1: replica r of base run b shares b's key,
@@ -125,11 +119,7 @@ func (e *executor) counterDelta() (sim, hits uint64) {
 }
 
 func newExecutor(g *grid, disk *runcache.Store) *executor {
-	return &executor{
-		g:      g,
-		disk:   disk,
-		flight: runcache.NewFlight[scenario.Result](),
-	}
+	return &executor{g: g, disk: disk}
 }
 
 // shardRange returns run range [lo, hi) of shard s. Neither bound
@@ -188,9 +178,8 @@ func (e *executor) keyAt(i uint64) runcache.Key {
 // in index order. onRun fires after each folded run (progress
 // accounting); stop is polled between runs and, when it fires, foldShard
 // returns (nil, nil) — complete nothing, the shard stays unfinished. A
-// panic anywhere in a run or in the key memo's fill (an engine bug,
-// re-panicked in every waiter of its flight) converts to an error
-// rather than crashing the process.
+// panic anywhere in a run or in the key memo's fill (an engine bug)
+// converts to an error rather than crashing the process.
 func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -216,38 +205,34 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	return a, nil
 }
 
-// oneRun produces run i's result: disk hit, collapsed duplicate, or a
-// fresh simulation (persisted before returning). On the replay path a
-// run is one RunKey hash (or a memo read), a disk read, and a decode.
+// oneRun produces run i's result: a disk hit, or a fresh simulation
+// persisted before returning. On the replay path a run is one RunKey
+// hash (or a memo read), a disk read, and a decode. Replicas dedupe
+// through the store alone: a replica folded while its original is still
+// simulating elsewhere simulates again, to identical bytes, and its Put
+// is a no-op.
 func (e *executor) oneRun(i uint64) (scenario.Result, error) {
 	key := e.keyAt(i)
-	var runErr error
-	res := e.flight.Do(key, func() scenario.Result {
-		if e.disk != nil {
-			if b, hit, derr := e.disk.Get(key); derr != nil {
-				runErr = derr
-				return scenario.Result{}
-			} else if hit {
-				if r, cerr := decodeResult(b); cerr == nil {
-					e.diskHits.Add(1)
-					return r
-				}
-				// Version/layout mismatch: treat as a miss and
-				// re-simulate. Put below is a first-write-wins no-op,
-				// so the stale record stays until a cache rebuild.
-			}
+	b, hit, err := e.disk.Get(key)
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	if hit {
+		if r, err := decodeResult(b); err == nil {
+			e.diskHits.Add(1)
+			return r, nil
 		}
-		sc, proto, seed, _ := e.g.runAt(i)
-		e.simulated.Add(1)
-		r := scenario.Run(sc, proto, scenario.Opts{Seed: seed})
-		if e.disk != nil {
-			if perr := e.disk.Put(key, encodeResult(r)); perr != nil {
-				runErr = perr
-			}
-		}
-		return r
-	})
-	return res, runErr
+		// Version/layout mismatch: treat as a miss and re-simulate.
+		// Put below is a first-write-wins no-op, so the stale record
+		// stays until a cache rebuild.
+	}
+	sc, proto, seed, _ := e.g.runAt(i)
+	e.simulated.Add(1)
+	r := scenario.Run(sc, proto, scenario.Opts{Seed: seed})
+	if e.disk != nil {
+		err = e.disk.Put(key, encodeResult(r))
+	}
+	return r, err
 }
 
 // Job executes one campaign: a sharded sweep of the spec's run grid
@@ -255,8 +240,8 @@ func (e *executor) oneRun(i uint64) (scenario.Result, error) {
 // store. Create with New, drive with Execute, observe with Progress.
 // When the job runs behind a serve-mode coordinator, remote workers
 // lease shards through Lease/RenewLease and return aggregates through
-// CompleteShard; the coordinator's own Execute workers pull from the
-// same lease table, so it is simply worker #0.
+// CompleteShard; the coordinator's own Execute workers take shards from
+// the same lease table without leasing them.
 type Job struct {
 	g    *grid
 	id   string
@@ -332,18 +317,18 @@ func (j *Job) cancelled() bool {
 }
 
 // leaseWait is how long an idle local worker sleeps when every
-// remaining shard is leased out (to remote workers or to its siblings)
-// before re-checking for expiries.
+// remaining shard is leased out or being folded by a sibling before
+// re-checking for expiries.
 const leaseWait = 2 * time.Millisecond
 
 // Execute runs the campaign to completion (or cancellation/failure)
 // and returns its terminal error, if any. It is the caller's single
 // blocking drive call; the server wraps it in a goroutine. Local
-// workers pull shards from the same lease table remote workers do, so
-// a job with no remote workers behaves exactly as before — and with
-// remote workers, Execute returns once every shard (whoever computed
-// it) has merged. A panic in Execute or in a local worker fails the
-// job with the panic's text instead of ending the process.
+// workers take shards from the same lease table remote workers lease
+// from, so with remote workers Execute returns once every shard
+// (whoever computed it) has merged. A panic in Execute or in a local
+// worker fails the job with the panic's text instead of ending the
+// process.
 func (j *Job) Execute() error {
 	j.mu.Lock()
 	if j.status != StatusQueued {
@@ -376,11 +361,11 @@ func (j *Job) run() []byte {
 	var wg sync.WaitGroup
 	for w := 0; w < j.opts.Jobs && !j.opts.noLocalExec; w++ {
 		wg.Add(1)
-		go func(name string) {
+		go func() {
 			defer wg.Done()
 			defer j.recoverPanic()
-			j.localWorker(name)
-		}(fmt.Sprintf("local/%d", w))
+			j.localWorker()
+		}()
 	}
 	select {
 	case <-j.leases.finished:
@@ -415,13 +400,15 @@ func (j *Job) recoverPanic() {
 	}
 }
 
-// localWorker is one coordinator-side execution loop: lease a shard,
+// localWorker is one coordinator-side execution loop: take a shard,
 // fold it, complete it, repeat — waiting out windows where every
 // remaining shard is leased to someone else (a remote worker may die
-// and its lease expire back to us).
-func (j *Job) localWorker(name string) {
+// and its lease expire back to us). A taken shard holds no lease, so no
+// TTL can hand it to a remote worker mid-fold; a fold stops early only
+// on cancellation, after which nothing takes or leases again.
+func (j *Job) localWorker() {
 	for !j.cancelled() {
-		s, token, ok := j.leases.acquire(name)
+		s, ok := j.leases.take()
 		if !ok {
 			select {
 			case <-j.cancelCh:
@@ -437,8 +424,7 @@ func (j *Job) localWorker(name string) {
 			j.fail(err)
 			return
 		}
-		if a == nil { // stopped mid-shard
-			j.leases.release(s, token)
+		if a == nil { // cancelled mid-shard
 			return
 		}
 		j.leases.complete(s, a)
@@ -462,15 +448,15 @@ func (j *Job) running() bool {
 }
 
 // Lease grants the caller (a remote worker) one shard, or ok=false when
-// nothing is currently available. gone is true once the job is not
-// running — the worker should stop polling this campaign.
-func (j *Job) Lease(worker string) (g LeaseGrant, ok, gone bool) {
+// nothing is available: every remaining shard is done, leased or being
+// folded, or the job is not running.
+func (j *Job) Lease(worker string) (g LeaseGrant, ok bool) {
 	if !j.running() || j.cancelled() {
-		return LeaseGrant{}, false, true
+		return LeaseGrant{}, false
 	}
 	s, token, ok := j.leases.acquire(worker)
 	if !ok {
-		return LeaseGrant{}, false, false
+		return LeaseGrant{}, false
 	}
 	lo, hi := j.exec.shardRange(s)
 	return LeaseGrant{
@@ -481,7 +467,7 @@ func (j *Job) Lease(worker string) (g LeaseGrant, ok, gone bool) {
 		Token:        token,
 		TTLMs:        j.opts.LeaseTTL.Milliseconds(),
 		ModelVersion: scenario.KeyVersion,
-	}, true, false
+	}, true
 }
 
 // RenewLease extends a worker's hold on a shard (the heartbeat). False

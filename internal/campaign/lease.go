@@ -9,9 +9,10 @@ import (
 
 // The shard-lease protocol is the distribution unit of a campaign: the
 // coordinator partitions the run grid into the same spec-derived shards
-// the single-process executor uses, and hands them out as leases — to
-// its own local workers and to remote `emptcpsim worker` processes
-// alike (the coordinator is just worker #0). A lease expires if its
+// the single-process executor uses, and hands them out as leases to
+// remote `emptcpsim worker` processes. Its own local workers take
+// shards from the same table without a lease: they can only die with
+// the coordinator, so there is nothing to expire. A lease expires if its
 // holder stops renewing (worker death), after which the shard is
 // reassigned; a shard's first completion wins and any later duplicate
 // is dropped. Because every shard aggregate is a pure function of the
@@ -48,7 +49,8 @@ type LeaseGrant struct {
 
 // LeaseState is the lease table's observable snapshot, published by
 // Progress and /statz so distributed runs are debuggable without log
-// scraping.
+// scraping. Leased and Workers count remote leases only: local folds
+// hold none.
 type LeaseState struct {
 	Shards     uint64 `json:"shards"`
 	Done       uint64 `json:"done"`
@@ -58,13 +60,13 @@ type LeaseState struct {
 	Workers    int    `json:"workers"`    // distinct workers ever granted a lease
 }
 
-// leaseTable is a job's one record of shard state: which worker holds
-// which shard, and which shards are done. A shard is done if and only
-// if it is below merged or parked in pending. complete keeps a shard's
-// first completion and folds completed shards into total in shard
-// order 0,1,2,…, whatever order they arrive in — the whole
-// byte-identical-at-any-shape guarantee lives there — so the table
-// holds an entry only for a shard that is leased, queued for
+// leaseTable is a job's one record of shard state: which shards are
+// handed out, which remote worker holds which, and which are done. A
+// shard is done if and only if it is below merged or parked in pending.
+// complete keeps a shard's first completion and folds completed shards
+// into total in shard order 0,1,2,…, whatever order they arrive in —
+// the whole byte-identical-at-any-shape guarantee lives there — so the
+// table holds an entry only for a shard that is leased, queued for
 // reassignment or waiting on an earlier one: O(pending window), never
 // O(shards). All methods are safe for concurrent use; time is injected
 // so tests can drive expiry deterministically.
@@ -75,8 +77,8 @@ type leaseTable struct {
 
 	n       uint64            // total shards
 	next    uint64            // next never-assigned shard
-	leases  map[uint64]*lease // outstanding, keyed by shard
-	free    []uint64          // expired or released shards awaiting reassignment, ascending
+	leases  map[uint64]*lease // outstanding remote leases, keyed by shard
+	free    []uint64          // expired shards awaiting reassignment, ascending
 	seq     uint64            // token counter
 	workers map[string]bool
 
@@ -111,34 +113,34 @@ func (lt *leaseTable) doneLocked(s uint64) bool {
 	return s < lt.merged || parked
 }
 
-// requeueLocked drops shard s's lease and queues s for reassignment,
+// reapLocked moves every expired lease to the reassignment queue,
 // keeping free ascending. Callers hold mu.
-func (lt *leaseTable) requeueLocked(s uint64) {
-	delete(lt.leases, s)
-	i, _ := slices.BinarySearch(lt.free, s)
-	lt.free = slices.Insert(lt.free, i, s)
-}
-
-// reapLocked moves every expired lease to the reassignment queue.
-// Callers hold mu.
 func (lt *leaseTable) reapLocked() {
 	t := lt.now()
 	for s, l := range lt.leases {
 		if t.After(l.expires) {
 			lt.expired++
-			lt.requeueLocked(s)
+			delete(lt.leases, s)
+			i, _ := slices.BinarySearch(lt.free, s)
+			lt.free = slices.Insert(lt.free, i, s)
 		}
 	}
 }
 
-// acquire grants the lowest-index unowned shard to worker, preferring
+// take hands out the lowest-index shard nobody holds, preferring
 // expired reassignments over fresh shards so the in-order merge window
-// stays small. ok is false when every remaining shard is done or leased
-// out — the caller waits (a lease may expire) or, once finished is
-// closed, stops.
-func (lt *leaseTable) acquire(worker string) (shard uint64, token string, ok bool) {
+// stays small, and records no lease: the coordinator's own folds take
+// shards this way. ok is false when every remaining shard is done,
+// leased out or being folded — the caller waits (a lease may expire)
+// or, once finished is closed, stops.
+func (lt *leaseTable) take() (shard uint64, ok bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
+	return lt.takeLocked()
+}
+
+// takeLocked is take for callers that hold mu.
+func (lt *leaseTable) takeLocked() (shard uint64, ok bool) {
 	lt.reapLocked()
 	for !ok && len(lt.free) > 0 {
 		shard, lt.free = lt.free[0], lt.free[1:]
@@ -149,7 +151,15 @@ func (lt *leaseTable) acquire(worker string) (shard uint64, token string, ok boo
 		lt.next++
 		ok = !lt.doneLocked(shard)
 	}
-	if !ok {
+	return shard, ok
+}
+
+// acquire takes a shard for a remote worker and leases it: the worker
+// must renew within the TTL or lose the shard to reassignment.
+func (lt *leaseTable) acquire(worker string) (shard uint64, token string, ok bool) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if shard, ok = lt.takeLocked(); !ok {
 		return 0, "", false
 	}
 	lt.seq++
@@ -200,16 +210,6 @@ func (lt *leaseTable) complete(shard uint64, a *agg) (dup bool) {
 		}
 	}
 	return false
-}
-
-// release returns an unfinished shard to the queue immediately (local
-// worker stopping mid-shard on cancel) instead of waiting out the TTL.
-func (lt *leaseTable) release(shard uint64, token string) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if l, ok := lt.leases[shard]; ok && l.token == token {
-		lt.requeueLocked(shard)
-	}
 }
 
 // aggregates projects the merged prefix of shards: exact for the runs

@@ -25,9 +25,9 @@ import (
 // The server is also the distributed coordinator: remote `emptcpsim
 // worker` processes lease shards of the running campaign, execute them
 // with their own full local stack, and stream the aggregates back. The
-// coordinator's own execution workers pull from the same lease table,
-// so a serve-mode process with no workers attached behaves exactly like
-// the single-process CLI.
+// coordinator's own execution workers take shards from the same lease
+// table, so a serve-mode process with no workers attached behaves
+// exactly like the single-process CLI.
 //
 //	POST /campaigns                   submit a Spec        → 202 Progress / 400 / 413
 //	GET  /campaigns                   list                 → 200 [Progress]
@@ -35,7 +35,7 @@ import (
 //	GET  /campaigns/{id}/spec         normalised spec      → 200 Spec
 //	GET  /campaigns/{id}/result       canonical aggregates → 200 JSON / 409 Progress
 //	POST /campaigns/{id}/cancel                            → 202 Progress
-//	POST /campaigns/{id}/lease        lease one shard      → 200 LeaseGrant / 204 / 409 / 410
+//	POST /lease                       lease one shard      → 200 LeaseGrant / 204 / 409
 //	POST /campaigns/{id}/shards/{s}   complete a shard     → 200 {status} / 409 / 410
 //	POST /campaigns/{id}/shards/{s}/renew heartbeat        → 200 {ttl_ms} / 410
 //	GET  /statz                       process + lease stats → 200 JSON
@@ -45,12 +45,13 @@ type Server struct {
 	opts  Options
 	token string // optional bearer token; empty = open
 
-	mu     sync.Mutex
-	byID   map[string]*Job
-	order  []string // submission order, for stable listings
-	queue  chan *Job
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	byID    map[string]*Job
+	order   []string // submission order, for stable listings
+	running *Job     // the job dispatch started last; remote workers lease from it
+	queue   chan *Job
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // NewServerOpts builds a server executing campaigns one at a time
@@ -80,6 +81,9 @@ func (s *Server) SetAuthToken(token string) { s.token = token }
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for job := range s.queue {
+		s.mu.Lock()
+		s.running = job
+		s.mu.Unlock()
 		job.Execute() // terminal state and error live on the job
 	}
 }
@@ -113,7 +117,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /campaigns/{id}/spec", s.handleSpec)
 	mux.HandleFunc("GET /campaigns/{id}/result", s.handleResult)
 	mux.HandleFunc("POST /campaigns/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("POST /campaigns/{id}/lease", s.handleLease)
+	mux.HandleFunc("POST /lease", s.handleLease)
 	mux.HandleFunc("POST /campaigns/{id}/shards/{shard}", s.handleShard)
 	mux.HandleFunc("POST /campaigns/{id}/shards/{shard}/renew", s.handleRenew)
 	mux.HandleFunc("GET /statz", s.handleStatz)
@@ -238,7 +242,7 @@ func sameSpec(a, b Spec) bool {
 }
 
 // summaries lists every campaign in submission order without its
-// aggregates: listings stay light, and workers poll one per lease.
+// aggregates, so listings stay light.
 func (s *Server) summaries() []Progress {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.order))
@@ -308,18 +312,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLease grants the requesting worker one shard of the campaign.
-// 200 carries a LeaseGrant; 204 means nothing is available right now
-// (every remaining shard is done or leased — poll again); 409 means the
-// worker's model_version is not this build's scenario.KeyVersion, so
-// its results would mix two models into one aggregate, and nothing is
-// granted; 410 means the campaign is not running and the worker should
-// drop it.
+// handleLease grants the requesting worker one shard of the campaign
+// dispatch is running: workers need no campaign listing, since the
+// server runs one campaign at a time. 200 carries a LeaseGrant, whose
+// Campaign names the spec to fetch; 204 means nothing is available
+// right now (no campaign is running, or every remaining shard is done,
+// leased or being folded — poll again); 409 means the worker's
+// model_version is not this build's scenario.KeyVersion, so its results
+// would mix two models into one aggregate, and nothing is granted.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
-	if j == nil {
-		return
-	}
 	q := r.URL.Query()
 	if v := q.Get("model_version"); v != strconv.Itoa(scenario.KeyVersion) {
 		writeError(w, http.StatusConflict, fmt.Errorf("campaign: worker model version %q, coordinator model version %d", v, scenario.KeyVersion))
@@ -329,15 +330,16 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if worker == "" {
 		worker = "remote/" + r.RemoteAddr
 	}
-	g, ok, gone := j.Lease(worker)
-	switch {
-	case gone:
-		writeError(w, http.StatusGone, fmt.Errorf("campaign: %s is not running", j.ID()))
-	case !ok:
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSON(w, http.StatusOK, g)
+	s.mu.Lock()
+	j := s.running
+	s.mu.Unlock()
+	if j != nil {
+		if g, ok := j.Lease(worker); ok {
+			writeJSON(w, http.StatusOK, g)
+			return
+		}
 	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // maxShardBody bounds a shard-completion payload. The real size is

@@ -41,16 +41,15 @@ var (
 	fuzzMethods = []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete,
 		http.MethodHead, http.MethodPatch, http.MethodOptions}
 	fuzzRoutes = []string{"/campaigns", "/campaigns/{id}", "/campaigns/{id}/spec",
-		"/campaigns/{id}/result", "/campaigns/{id}/cancel", "/campaigns/{id}/lease",
+		"/campaigns/{id}/result", "/campaigns/{id}/cancel", "/lease",
 		"/campaigns/{id}/shards/{shard}", "/campaigns/{id}/shards/{shard}/renew", "/statz"}
 )
 
 // FuzzServerHandler drives a coordinator's handler with a spec submit,
-// a lease on the submitted campaign, and one arbitrary request: any
-// method on the submit, status, spec, result, cancel, lease, shard,
-// renew or stats route, with an arbitrary id (empty means the submitted
-// campaign's), shard segment, query and body, carrying the lease's
-// token. The coordinator simulates nothing itself, so shards merge only
+// a lease, and one arbitrary request: any method on the submit, status,
+// spec, result, cancel, lease, shard, renew or stats route, with an
+// arbitrary id (empty means the submitted campaign's), shard segment,
+// query and body, carrying the lease's token. The coordinator simulates nothing itself, so shards merge only
 // through the handler. Nothing may panic in any goroutine, no answer
 // may be a 5xx, every accepted campaign must be in a terminal state
 // once the server closes, and each accepted job's fixed memory must fit
@@ -146,7 +145,7 @@ func FuzzServerHandler(f *testing.F) {
 			for job.summary().Status == StatusQueued {
 				runtime.Gosched()
 			}
-			rec := do(httptest.NewRequest(http.MethodPost, "/campaigns/"+accepted[0]+"/lease?"+kv, nil))
+			rec := do(httptest.NewRequest(http.MethodPost, "/lease?"+kv, nil))
 			if rec.Code == http.StatusOK {
 				json.Unmarshal(rec.Body.Bytes(), &grant)
 			}

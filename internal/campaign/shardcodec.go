@@ -87,18 +87,16 @@ func encodeShardAgg(model byte, digest [32]byte, shard, runs, simulated, diskHit
 // that the grid decodes into it, and keep the invariants cellAcc.add
 // and stats.Stream maintain. The crc proves only that the bytes arrived
 // as sent; this proves that they count the runs the coordinator
-// assigned, with moments the canonical aggregates can publish.
+// assigned, with moments the canonical aggregates can publish. It costs
+// O(cells) whatever the shard's size: the per-cell counts come from
+// grid.runsBelow, not from a walk over the shard's runs.
 func (e *executor) checkShard(s uint64, a *agg) error {
 	lo, hi := e.shardRange(s)
-	want := make([]uint64, len(a.cells))
-	for i := lo; i < hi; i++ {
-		want[e.g.cellAt(i)]++
-	}
 	for i := range a.cells {
 		c := &a.cells[i]
-		switch {
-		case c.runs != want[i]:
-			return fmt.Errorf("campaign: shard %d cell %d has %d runs, the grid assigns it %d", s, i, c.runs, want[i])
+		switch want := e.g.runsBelow(hi, i) - e.g.runsBelow(lo, i); {
+		case c.runs != want:
+			return fmt.Errorf("campaign: shard %d cell %d has %d runs, the grid assigns it %d", s, i, c.runs, want)
 		case c.completed > c.runs || c.lteUsed > c.runs:
 			return fmt.Errorf("campaign: shard %d cell %d counts %d completed and %d LTE runs of %d", s, i, c.completed, c.lteUsed, c.runs)
 		case c.energy.N != c.runs || c.dltime.N != c.completed || c.jpb.N > c.runs:

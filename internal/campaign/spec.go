@@ -366,6 +366,21 @@ func (g *grid) cellAt(i uint64) int {
 	return cell
 }
 
+// runsBelow counts the runs of [0, x) that fold into cell c, in O(1).
+// The grid enumerates location and seed innermost, so one cell's runs
+// form blocks of B = locations·seeds runs that recur every P = B·cells
+// runs: the count is ⌊x/P⌋·B + min(B, max(0, x mod P − c·B)). P is at
+// most the grid's run count, so nothing overflows.
+func (g *grid) runsBelow(x uint64, c int) uint64 {
+	b := uint64(len(g.locs)) * uint64(g.spec.Seeds.Count)
+	p := b * uint64(g.cells())
+	n, r, off := x/p*b, x%p, uint64(c)*b
+	if r > off {
+		n += min(b, r-off)
+	}
+	return n
+}
+
 // at decodes run index i into its compiled scenario, protocol, seed,
 // and aggregation cell: index arithmetic and a table read.
 func (g *grid) at(i uint64) (c *compiledScenario, proto scenario.Protocol, seed int64, cell int) {

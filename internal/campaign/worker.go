@@ -19,9 +19,9 @@ import (
 )
 
 // Worker is the pull side of the shard-lease protocol: a process (or an
-// in-process test fixture) that polls a coordinator for running
-// campaigns, leases shards, executes them against its own disk store,
-// and streams the bit-exact shard aggregates back. Workers are
+// in-process test fixture) that leases shards of the coordinator's
+// running campaign, executes them against its own disk store, and
+// streams the bit-exact shard aggregates back. Workers are
 // stateless from the coordinator's point of view: one can join
 // mid-campaign, die mid-shard (the lease expires and the shard
 // reassigns), or race another worker to a completion (first write
@@ -31,8 +31,11 @@ type Worker struct {
 	client  *http.Client
 	baseURL string
 
-	mu    sync.Mutex
-	execs map[string]*executor // compiled campaign cache, by id
+	// lastID and last cache the campaign this worker compiled last:
+	// the coordinator runs one campaign at a time.
+	mu     sync.Mutex
+	lastID string
+	last   *executor
 
 	// ShardsDone / Duplicates / LeasesLost count this worker's
 	// lifetime outcomes, for logging and tests. Refused counts lease
@@ -105,7 +108,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts:    opts,
 		client:  client,
 		baseURL: opts.Coordinator,
-		execs:   make(map[string]*executor),
 	}, nil
 }
 
@@ -167,71 +169,34 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// once tries to lease and execute one shard of some running campaign.
-// worked=false means the coordinator had nothing for us.
+// once tries to lease and execute one shard of the coordinator's
+// running campaign. worked=false means the coordinator had nothing for
+// us.
 func (w *Worker) once(ctx context.Context) (worked bool, err error) {
-	ids, err := w.runningCampaigns(ctx)
-	if err != nil {
+	g, ok, err := w.lease(ctx)
+	if err != nil || !ok {
 		return false, err
 	}
-	for _, id := range ids {
-		g, ok, err := w.lease(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			continue
-		}
-		if g.ModelVersion != w.opts.modelVersion {
-			// A coordinator that grants without checking the version:
-			// refuse before simulating. The lease expires unrenewed.
-			w.Refused.Add(1)
-			return true, fmt.Errorf("campaign: %s shard %d granted under model version %d, this worker runs %d",
-				id, g.Shard, g.ModelVersion, w.opts.modelVersion)
-		}
-		if err := w.executeShard(ctx, id, g); err != nil {
-			return true, err
-		}
-		return true, nil
+	if g.ModelVersion != w.opts.modelVersion {
+		// A coordinator that grants without checking the version:
+		// refuse before simulating. The lease expires unrenewed.
+		w.Refused.Add(1)
+		return true, fmt.Errorf("campaign: %s shard %d granted under model version %d, this worker runs %d",
+			g.Campaign, g.Shard, g.ModelVersion, w.opts.modelVersion)
 	}
-	return false, nil
+	return true, w.executeShard(ctx, g)
 }
 
-// runningCampaigns lists the coordinator's campaigns currently
-// accepting leases, in submission order.
-func (w *Worker) runningCampaigns(ctx context.Context) ([]string, error) {
-	var list []Progress
-	if err := w.getJSON(ctx, "/campaigns", &list); err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, p := range list {
-		if p.Status == StatusRunning {
-			ids = append(ids, p.ID)
-		}
-	}
-	// Evict compiled grids for campaigns that no longer exist or have
-	// finished, so a long-lived worker doesn't accumulate them.
-	alive := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		alive[id] = true
-	}
-	w.mu.Lock()
-	for id := range w.execs {
-		if !alive[id] {
-			delete(w.execs, id)
-		}
-	}
-	w.mu.Unlock()
-	return ids, nil
-}
-
-// executorFor compiles (once) the campaign's normalised spec into this
+// executorFor compiles the campaign's normalised spec into this
 // worker's executor — same grid, same shard bounds, same cache keys as
-// the coordinator's, by construction.
+// the coordinator's, by construction — unless it is the campaign the
+// worker compiled last.
 func (w *Worker) executorFor(ctx context.Context, id string) (*executor, error) {
 	w.mu.Lock()
-	e := w.execs[id]
+	e := w.last
+	if w.lastID != id {
+		e = nil
+	}
 	w.mu.Unlock()
 	if e != nil {
 		return e, nil
@@ -253,23 +218,22 @@ func (w *Worker) executorFor(ctx context.Context, id string) (*executor, error) 
 	}
 	e = newExecutor(g, w.opts.Disk)
 	w.mu.Lock()
-	if prev := w.execs[id]; prev != nil {
-		e = prev // another loop won the compile race
+	if w.lastID == id {
+		e = w.last // another loop won the compile race
 	} else {
-		w.execs[id] = e
+		w.lastID, w.last = id, e
 	}
 	w.mu.Unlock()
 	return e, nil
 }
 
-// lease asks for one shard, announcing this worker's model version.
-// ok=false covers both "nothing available" and "campaign gone" — the
-// caller just moves on either way. A coordinator running another model
-// answers 409, which is an error: the worker backs off and never
-// simulates for it.
-func (w *Worker) lease(ctx context.Context, id string) (g LeaseGrant, ok bool, err error) {
+// lease asks the coordinator for one shard of its running campaign,
+// announcing this worker's model version. ok=false means nothing is
+// available. A coordinator running another model answers 409, which is
+// an error: the worker backs off and never simulates for it.
+func (w *Worker) lease(ctx context.Context) (g LeaseGrant, ok bool, err error) {
 	q := url.Values{"worker": {w.opts.Name}, "model_version": {strconv.Itoa(w.opts.modelVersion)}}
-	req, err := w.newRequest(ctx, http.MethodPost, "/campaigns/"+id+"/lease?"+q.Encode(), nil)
+	req, err := w.newRequest(ctx, http.MethodPost, "/lease?"+q.Encode(), nil)
 	if err != nil {
 		return g, false, err
 	}
@@ -284,7 +248,7 @@ func (w *Worker) lease(ctx context.Context, id string) (g LeaseGrant, ok bool, e
 			return g, false, fmt.Errorf("campaign: decoding lease grant: %w", err)
 		}
 		return g, true, nil
-	case http.StatusNoContent, http.StatusGone:
+	case http.StatusNoContent:
 		return g, false, nil
 	case http.StatusConflict:
 		w.Refused.Add(1)
@@ -298,7 +262,8 @@ func (w *Worker) lease(ctx context.Context, id string) (g LeaseGrant, ok bool, e
 // at TTL/3, and posts the aggregate. A lost lease (coordinator says
 // 410 on renew) aborts the fold — the shard was reassigned, finishing
 // it would only produce a duplicate.
-func (w *Worker) executeShard(ctx context.Context, id string, g LeaseGrant) error {
+func (w *Worker) executeShard(ctx context.Context, g LeaseGrant) error {
+	id := g.Campaign
 	e, err := w.executorFor(ctx, id)
 	if err != nil {
 		return err

@@ -360,11 +360,6 @@ type Accountant struct {
 	lastBaseP   units.Power
 	lastBaseDt  float64
 	lastBaseInc units.Energy
-
-	// Trace, when non-nil, receives cumulative total-energy samples on
-	// every Advance; experiments use it for the Figure 7/12 accumulated
-	// energy time series.
-	Trace func(t float64, total units.Energy)
 }
 
 // NewAccountant returns an accountant for the given device with all radios
@@ -386,7 +381,6 @@ func (a *Accountant) Reset(p *DeviceProfile) {
 	a.baseOn = false
 	a.extraBase = 0
 	a.lastBaseP, a.lastBaseDt, a.lastBaseInc = 0, 0, 0
-	a.Trace = nil
 	for i := 0; i < NumInterfaces; i++ {
 		a.radios[i].Reset(Interface(i), p.Radios[i])
 	}
@@ -462,9 +456,6 @@ func (a *Accountant) Advance(t float64, thr Throughputs) {
 		a.base += a.lastBaseInc
 	}
 	a.now = t
-	if a.Trace != nil {
-		a.Trace(t, a.Total())
-	}
 }
 
 // Drain expires all radio tails, charging their remaining fixed costs.

@@ -12,8 +12,7 @@ import (
 // goroutines while concurrent readers poll FlightStats, asserting the
 // counters are race-safe (run under -race in CI) and that every observed
 // snapshot is consistent: waits never exceed hits and hits imply a
-// counted miss. A memo settles to exactly one miss and N−1 hits; a
-// flight computes once per miss and counts every caller once.
+// counted miss. The memo settles to exactly one miss and N−1 hits.
 func TestFlightStatsConsistentUnderHammer(t *testing.T) {
 	const (
 		workers = 32
@@ -22,13 +21,13 @@ func TestFlightStatsConsistentUnderHammer(t *testing.T) {
 	for _, tc := range lifetimes {
 		t.Run(tc.name, func(t *testing.T) {
 			for round := 0; round < rounds; round++ {
-				hammer(t, tc.new(), tc.keep, Key{byte(round), byte(round >> 8)}, workers)
+				hammer(t, tc.new(), Key{byte(round), byte(round >> 8)}, workers)
 			}
 		})
 	}
 }
 
-func hammer(t *testing.T, g *Flight[int], keep bool, key Key, workers int) {
+func hammer(t *testing.T, g *Flight[int], key Key, workers int) {
 	var computes atomic.Int64
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -51,7 +50,7 @@ func hammer(t *testing.T, g *Flight[int], keep bool, key Key, workers int) {
 					t.Errorf("torn snapshot: %d hits with no miss", hits)
 					return
 				}
-				if keep && misses > 1 {
+				if misses > 1 {
 					t.Errorf("single key computed %d times", misses)
 					return
 				}
@@ -83,7 +82,7 @@ func hammer(t *testing.T, g *Flight[int], keep bool, key Key, workers int) {
 	readers.Wait()
 
 	n := computes.Load()
-	if keep && n != 1 {
+	if n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
 	hits, misses, waits := g.FlightStats()

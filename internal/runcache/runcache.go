@@ -1,13 +1,11 @@
 // Package runcache deduplicates simulation runs by content key.
 //
 // Experiment grids re-run the same (scenario, protocol, seed) triple:
-// section tables share baselines, ablations share the untouched arm,
-// and replicated campaigns repeat whole grids. Flight is a single-flight
-// map from a digest of the run inputs to the result, so concurrent
-// callers of one key simulate it once. NewMemo keeps every result (the
-// paper suite's cache); NewFlight forgets each one on landing, so memory
-// stays bounded by the keys in flight (the campaign executor, which
-// persists results in the disk Store).
+// section tables share baselines and ablations share the untouched arm.
+// Flight is a single-flight memo from a digest of the run inputs to the
+// result, so concurrent callers of one key simulate it once and later
+// callers hit (the paper suite's cache). Campaigns persist results in
+// the disk Store instead, which dedupes replicas across invocations.
 //
 // Correctness rests on runs being pure functions of their digested
 // inputs (see scenario.CacheKey), and results are returned by value.
@@ -22,11 +20,9 @@ import (
 // SHA-256 of the scenario configuration, protocol, seed, and options.
 type Key [32]byte
 
-// Flight runs one computation per key across concurrent Do callers.
-// Create it with NewFlight or NewMemo.
+// Flight runs one computation per key across concurrent Do callers and
+// keeps each landed value. Create it with NewMemo.
 type Flight[V any] struct {
-	keep bool // a landed value stays for later callers
-
 	mu sync.Mutex
 	m  map[Key]*call[V]
 
@@ -42,16 +38,10 @@ type call[V any] struct {
 	panicked any
 }
 
-// NewFlight returns a flight that forgets each key when its call
-// lands: a later Do of the key computes again.
-func NewFlight[V any]() *Flight[V] {
-	return &Flight[V]{m: make(map[Key]*call[V])}
-}
-
-// NewMemo returns a flight that keeps each landed value, so every
-// later Do of the key is a hit.
+// NewMemo returns an empty flight: every Do of a key after its value
+// lands is a hit.
 func NewMemo[V any]() *Flight[V] {
-	return &Flight[V]{keep: true, m: make(map[Key]*call[V])}
+	return &Flight[V]{m: make(map[Key]*call[V])}
 }
 
 // Do returns fn's result for k. Concurrent calls with the same key run
@@ -84,8 +74,6 @@ func (g *Flight[V]) Do(k Key, fn func() V) V {
 	defer func() {
 		if !landed { // fn panicked or exited its goroutine: keep nothing
 			c.panicked = recover()
-		}
-		if !landed || !g.keep {
 			g.mu.Lock()
 			delete(g.m, k)
 			g.mu.Unlock()

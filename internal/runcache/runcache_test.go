@@ -7,15 +7,14 @@ import (
 	"time"
 )
 
-// lifetimes lists both Flight constructors; every single-flight test
-// runs once per row.
+// lifetimes lists the Flight constructors; every single-flight test
+// runs once per row. NewMemo, which keeps every landed value, is the
+// only one.
 var lifetimes = []struct {
 	name string
 	new  func() *Flight[int]
-	keep bool // the constructor keeps landed values
 }{
-	{"memo", NewMemo[int], true},
-	{"flight", NewFlight[int], false},
+	{"memo", NewMemo[int]},
 }
 
 func key(b byte) Key {
@@ -35,8 +34,8 @@ func awaitWaits(g *Flight[int], n uint64) {
 	}
 }
 
-// TestDoMemoizes pins the lifetimes: sequential calls of one key hit a
-// memo and recompute on a flight, and the counters say so.
+// TestDoMemoizes pins the lifetime: sequential calls of one key hit
+// the memo, and the counters say so.
 func TestDoMemoizes(t *testing.T) {
 	for _, tc := range lifetimes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,10 +49,7 @@ func TestDoMemoizes(t *testing.T) {
 			if got := g.Do(key(2), func() int { calls++; return 7 }); got != 7 {
 				t.Fatalf("Do = %d, want 7", got)
 			}
-			wantCalls, wantHits := 6, uint64(0)
-			if tc.keep {
-				wantCalls, wantHits = 2, 4
-			}
+			const wantCalls, wantHits = 2, 4
 			if calls != wantCalls {
 				t.Fatalf("compute ran %d times, want %d", calls, wantCalls)
 			}
@@ -116,8 +112,8 @@ func TestDoSingleFlight(t *testing.T) {
 }
 
 // TestFlightSingleFlight releases sixteen callers of one key at once,
-// with no ordering: they compute at least once, a memo exactly once,
-// and every caller is counted as a hit or a miss.
+// with no ordering: they compute exactly once, and every caller is
+// counted as a hit or a miss.
 func TestFlightSingleFlight(t *testing.T) {
 	for _, tc := range lifetimes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,7 +135,7 @@ func TestFlightSingleFlight(t *testing.T) {
 			close(start)
 			wg.Wait()
 			n := computes.Load()
-			if n < 1 || n > workers || (tc.keep && n != 1) {
+			if n != 1 {
 				t.Fatalf("computes=%d", n)
 			}
 			if hits, misses, _ := g.FlightStats(); misses != uint64(n) || hits+misses != workers {
@@ -188,7 +184,7 @@ func TestDoPanicPropagates(t *testing.T) {
 }
 
 // TestFlightPanicPropagatesAndClears checks that a panicking call is
-// forgotten in both lifetimes: the next call of its key computes.
+// forgotten: the next call of its key computes, and its value lands.
 func TestFlightPanicPropagatesAndClears(t *testing.T) {
 	for _, tc := range lifetimes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,12 +200,8 @@ func TestFlightPanicPropagatesAndClears(t *testing.T) {
 			if v := g.Do(key(2), func() int { return 3 }); v != 3 {
 				t.Fatalf("got %d after panic, want 3", v)
 			}
-			want := 4
-			if tc.keep {
-				want = 3
-			}
-			if v := g.Do(key(2), func() int { return 4 }); v != want {
-				t.Fatalf("got %d once a value landed, want %d", v, want)
+			if v := g.Do(key(2), func() int { return 4 }); v != 3 {
+				t.Fatalf("got %d once a value landed, want 3", v)
 			}
 		})
 	}

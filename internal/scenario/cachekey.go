@@ -28,6 +28,10 @@ func NewRunCache() *RunCache { return runcache.NewMemo[Result]() }
 // to force it for the model.
 const KeyVersion = 3
 
+// keyVersion is the version byte BaseKey and RunKey write: KeyVersion,
+// except in tests that key runs as the next model would.
+var keyVersion byte = KeyVersion
+
 // Tags of the key encoding: one before every leaf and every composite.
 const (
 	tagBool byte = iota + 1
@@ -76,7 +80,7 @@ func BaseKey(sc Scenario) (runcache.Key, bool) {
 		return runcache.Key{}, false
 	}
 	bp := keyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], KeyVersion)
+	b := append((*bp)[:0], keyVersion)
 	b = appendString(b, sc.linkSig)
 	b = appendString(b, sc.Name)
 	b = appendValue(b, reflect.ValueOf(sc.Device))
@@ -93,23 +97,22 @@ func BaseKey(sc Scenario) (runcache.Key, bool) {
 }
 
 // RunKey completes the base key of a scenario with one run's tail: the
-// version byte, the base, then the protocol, seed, Trace and TraceStep
-// as tagged leaves. The encoding fits one 64-byte buffer on the stack.
-// It reports ok=false when a Recorder observes the run.
+// version byte, the base, then the protocol, seed and Trace as tagged
+// leaves, and a float leaf of 1. The encoding fits one 64-byte buffer
+// on the stack. It reports ok=false when a Recorder observes the run.
 func RunKey(base runcache.Key, proto Protocol, opt Opts) (runcache.Key, bool) {
 	if opt.Recorder != nil {
 		return runcache.Key{}, false
 	}
-	if opt.TraceStep <= 0 {
-		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
-	}
 	var buf [64]byte
-	b := append(buf[:0], KeyVersion)
+	b := append(buf[:0], keyVersion)
 	b = append(b, base[:]...)
 	b = appendWord(b, tagInt, uint64(proto))
 	b = appendWord(b, tagInt, uint64(opt.Seed))
 	b = appendBool(b, opt.Trace)
-	b = appendFloat(b, opt.TraceStep)
+	// The leaf of the deleted trace sampling period, always 1 s: keeping
+	// it keeps every key, and every record a store holds, as it was.
+	b = appendFloat(b, 1)
 	return runcache.Key(sha256.Sum256(b)), true
 }
 

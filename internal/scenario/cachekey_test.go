@@ -60,7 +60,7 @@ func keyBase(w workload.Workload) (Scenario, Opts) {
 	sc.CoreConfig = &cc
 	sc.Horizon = 300
 	sc.AppPower = units.MilliwattPower(250)
-	return sc, Opts{Seed: 7, Trace: true, TraceStep: 0.5}
+	return sc, Opts{Seed: 7, Trace: true}
 }
 
 var keyWorkloads = []workload.Workload{
@@ -191,10 +191,9 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 		t.Fatal("reference scenario has no base key")
 	}
 	tail := map[string]func(proto *Protocol, opt *Opts){
-		"Protocol":  func(proto *Protocol, _ *Opts) { *proto = MPTCP },
-		"Seed":      func(_ *Protocol, opt *Opts) { opt.Seed++ },
-		"Trace":     func(_ *Protocol, opt *Opts) { opt.Trace = !opt.Trace },
-		"TraceStep": func(_ *Protocol, opt *Opts) { opt.TraceStep = math.Nextafter(opt.TraceStep, 1) },
+		"Protocol": func(proto *Protocol, _ *Opts) { *proto = MPTCP },
+		"Seed":     func(_ *Protocol, opt *Opts) { opt.Seed++ },
+		"Trace":    func(_ *Protocol, opt *Opts) { opt.Trace = !opt.Trace },
 	}
 	for name, flip := range tail {
 		proto, opt := EMPTCP, opt
@@ -204,14 +203,6 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 			t.Fatalf("%s: RunKey not ok", name)
 		}
 		record(name, k)
-	}
-
-	// The default TraceStep is 1 s, so leaving it unset keys the same run.
-	opt.TraceStep = 0
-	zero := mustKey(t, sc, EMPTCP, opt)
-	opt.TraceStep = 1
-	if one := mustKey(t, sc, EMPTCP, opt); zero != one {
-		t.Error("TraceStep 0 and 1 get different keys")
 	}
 }
 
@@ -231,7 +222,7 @@ func TestRunKeyComposesBaseKey(t *testing.T) {
 		Wild(dev, Good, Bad, AMS, work),
 		WebBrowsing(dev),
 	}
-	opts := []Opts{{}, {Seed: 7}, {Seed: -3, Trace: true, TraceStep: 0.5}}
+	opts := []Opts{{}, {Seed: 7}, {Seed: -3, Trace: true}}
 	for _, sc := range library {
 		base, ok := BaseKey(sc)
 		if !ok {
@@ -266,7 +257,7 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 	known := map[reflect.Type][]string{
 		reflect.TypeOf(Scenario{}): {"Name", "Device", "WiFi", "LTE", "WiFiRTT", "LTERTT", "Work",
 			"Horizon", "CoreConfig", "AppPower", "linkSig"},
-		reflect.TypeOf(Opts{}): {"Seed", "Trace", "TraceStep", "Recorder", "Cache"},
+		reflect.TypeOf(Opts{}): {"Seed", "Trace", "Recorder", "Cache"},
 	}
 	for typ, fields := range known {
 		if typ.NumField() != len(fields) {
@@ -290,5 +281,59 @@ func TestCacheKeyGolden(t *testing.T) {
 	const want = "6d8ad33b6e39eb9ced0988ae533b8c224b5d77755d9352ef3addd3ccbd0b5d87"
 	if got := hex.EncodeToString(k[:]); got != want {
 		t.Errorf("reference key = %s, want %s", got, want)
+	}
+}
+
+// TestKeyVersionMissesOldStore fills a store under the current key
+// version and replays it as the next model would key it: every lookup
+// misses, so no result persisted by an old simulator is served under a
+// new meaning. Back at the current version, every lookup hits again.
+func TestKeyVersionMissesOldStore(t *testing.T) {
+	dir := t.TempDir()
+	store, err := runcache.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := workload.FileDownload{Size: units.MB}
+	runs := []Scenario{StaticLab(energy.GalaxyS3(), 6, 4.5, work), Wild(energy.GalaxyS3(), Good, Bad, AMS, work)}
+	keys := func() []runcache.Key {
+		var ks []runcache.Key
+		for _, sc := range runs {
+			for _, proto := range AllProtocols {
+				ks = append(ks, mustKey(t, sc, proto, Opts{Seed: 3}))
+			}
+		}
+		return ks
+	}
+	for _, k := range keys() {
+		if err := store.Put(k, k[:8]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = runcache.OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	hits := func() (n int) {
+		for _, k := range keys() {
+			if _, hit, err := store.Get(k); err != nil {
+				t.Fatal(err)
+			} else if hit {
+				n++
+			}
+		}
+		return n
+	}
+	keyVersion = KeyVersion + 1
+	next := hits()
+	keyVersion = KeyVersion
+	if next != 0 {
+		t.Errorf("a store filled under version %d serves %d hits under version %d, want 0", KeyVersion, next, KeyVersion+1)
+	}
+	if n, want := hits(), len(runs)*len(AllProtocols); n != want {
+		t.Errorf("the store serves %d of its %d records under their own version", n, want)
 	}
 }

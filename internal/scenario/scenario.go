@@ -120,10 +120,9 @@ type Scenario struct {
 type Opts struct {
 	// Seed drives all randomness in the run.
 	Seed int64
-	// Trace records energy and throughput time series.
+	// Trace records energy and throughput time series, sampled at
+	// every 100 ms meter tick.
 	Trace bool
-	// TraceStep is the trace sampling period (default 1 s).
-	TraceStep float64
 	// Recorder, when non-nil, receives structured trace events from the
 	// whole stack (kernel, TCP, MPTCP, radios, controller). Recorders
 	// implementing trace.Sampler additionally get periodic Sample calls
@@ -257,9 +256,6 @@ func runPooled(sc Scenario, proto Protocol, opt Opts) Result {
 func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
 	if sc.Device == nil || sc.WiFi == nil || sc.LTE == nil || sc.Work == nil {
 		panic("scenario: incomplete scenario")
-	}
-	if opt.TraceStep <= 0 {
-		opt.TraceStep = 1
 	}
 	r := st.reset(sc, proto, opt)
 	r.acct.SetExtraBase(sc.AppPower)
