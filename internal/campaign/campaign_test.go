@@ -449,7 +449,7 @@ func runToBytes(t *testing.T, spec Spec, opts Options) []byte {
 }
 
 // TestWarmRunAllocs pins the replay path's allocations: a run served
-// from the store allocates once, for the value Store.Get returns.
+// through a Reader whose block holds its record allocates nothing.
 func TestWarmRunAllocs(t *testing.T) {
 	store, err := runcache.OpenStore(t.TempDir())
 	if err != nil {
@@ -461,19 +461,26 @@ func TestWarmRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := j.exec
-	if _, err := e.oneRun(3); err != nil { // cold: simulate and store
+	rd := store.NewReader()
+	if _, err := e.oneRun(3, rd); err != nil { // cold: simulate and store
+		t.Fatal(err)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.oneRun(3, rd); err != nil { // fills rd's block
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.oneRun(3); err != nil {
+		if _, err := e.oneRun(3, rd); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if hits := e.diskHits.Load(); hits != 101 {
-		t.Fatalf("%d store hits, want 101 warm runs", hits)
+	if hits := e.diskHits.Load(); hits != 102 {
+		t.Fatalf("%d store hits, want 102 warm runs", hits)
 	}
-	if allocs > 1 {
-		t.Errorf("a warm run allocates %v times, want at most 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a warm run allocates %v times, want 0", allocs)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestLeaseTableHoldsNoShardEntries(t *testing.T) {
 func TestLeaseTableTake(t *testing.T) {
 	clk := newFakeClock()
 	lt := newLeaseTable(4, 1, 10*time.Second, clk.now)
-	if s, ok := lt.take(); !ok || s != 0 {
+	if s, _, ok := lt.take(); !ok || s != 0 {
 		t.Fatalf("take = %d, %v; want shard 0", s, ok)
 	}
 	if s, _, ok := lt.acquire("remote/a"); !ok || s != 1 {
@@ -178,16 +178,16 @@ func TestLeaseTableTake(t *testing.T) {
 		t.Fatalf("state %+v: want the one remote lease and worker only", st)
 	}
 	clk.advance(11 * time.Second)
-	if s, ok := lt.take(); !ok || s != 1 {
+	if s, _, ok := lt.take(); !ok || s != 1 {
 		t.Fatalf("take after expiry = %d, %v; want reassigned shard 1", s, ok)
 	}
 	if s, _, ok := lt.acquire("remote/b"); !ok || s != 2 {
 		t.Fatalf("acquire after expiry = %d, %v; want shard 2, not a taken one", s, ok)
 	}
-	if s, ok := lt.take(); !ok || s != 3 {
+	if s, _, ok := lt.take(); !ok || s != 3 {
 		t.Fatalf("take = %d, %v; want shard 3", s, ok)
 	}
-	if _, ok := lt.take(); ok {
+	if _, _, ok := lt.take(); ok {
 		t.Fatal("take succeeded with every shard handed out")
 	}
 	if st := lt.state(); st.Expired != 1 || st.Leased != 1 || st.Workers != 2 {
@@ -232,6 +232,60 @@ func TestLocalFoldHoldsNoLease(t *testing.T) {
 	}
 	if p.Leases.Workers != 0 || p.Leases.Expired != 0 {
 		t.Fatalf("lease state %+v: a local fold leased or expired", p.Leases)
+	}
+}
+
+// TestLateRemoteCompletionStopsLocalFold plays a remote worker whose
+// lease expires: the campaign's only shard goes back to the local
+// worker, and the remote worker's completion lands after the local fold
+// has begun. First write wins, so the local fold must stop rather than
+// fold the shard again, and the job ends done with every run counted
+// once.
+func TestLateRemoteCompletionStopsLocalFold(t *testing.T) {
+	spec := oneCellSpec(1, 20000)
+	spec.ShardSize = 20000
+	ref, err := New(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ref.exec.foldShard(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, hits := ref.exec.counterDelta()
+	rep := shardReport{shard: 0, runs: 20000, simulated: sim, diskHits: hits, agg: a}
+
+	clk := newFakeClock()
+	j, err := New(spec, Options{Jobs: 1, LeaseTTL: 10 * time.Second, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := j.leases.acquire("remote/x"); !ok {
+		t.Fatal("remote worker got no lease")
+	}
+	clk.advance(11 * time.Second)
+	execErr := make(chan error, 1)
+	go func() { execErr <- j.Execute() }()
+	for j.runsDone.Load() == 0 {
+		runtime.Gosched()
+	}
+	if dup, gone := j.CompleteShard(rep); dup || gone {
+		j.Cancel()
+		<-execErr
+		t.Fatalf("late remote completion: dup=%v gone=%v", dup, gone)
+	}
+	if err := <-execErr; err != nil {
+		t.Fatal(err)
+	}
+	p := j.Progress()
+	if p.Status != StatusDone || p.RunsDone != p.TotalRuns {
+		t.Fatalf("status %s with %d of %d runs done", p.Status, p.RunsDone, p.TotalRuns)
+	}
+	if local := j.exec.simulated.Load(); local >= 20000 {
+		t.Fatalf("the local fold simulated %d runs of a shard already completed remotely", local)
+	}
+	if got, err := p.Aggregates.MarshalCanonical(); err != nil || !bytes.Equal(got, runToBytes(t, spec, Options{Jobs: 1})) {
+		t.Fatalf("aggregates differ from the -j 1 reference (err %v)", err)
 	}
 }
 
@@ -697,7 +751,7 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	// the campaign's state is consulted.
 	moved := newAgg(j.g.cells())
 	for i := lo; i < hi; i++ {
-		res, err := j.exec.oneRun(i)
+		res, err := j.exec.oneRun(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,11 +175,12 @@ func (e *executor) keyAt(i uint64) runcache.Key {
 }
 
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
-// in index order. onRun fires after each folded run (progress
-// accounting); stop is polled between runs and, when it fires, foldShard
-// returns (nil, nil) — complete nothing, the shard stays unfinished. A
-// panic anywhere in a run or in the key memo's fill (an engine bug)
-// converts to an error rather than crashing the process.
+// in index order, reading the store through a Reader of its own. onRun
+// fires after each folded run (progress accounting); stop is polled
+// between runs and, when it fires, foldShard returns (nil, nil) —
+// complete nothing. A panic anywhere in a run or in the key memo's fill
+// (an engine bug) converts to an error rather than crashing the
+// process.
 func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -189,11 +190,12 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	e.memoizeKeys()
 	lo, hi := e.shardRange(s)
 	a = newAgg(e.g.cells())
+	rd := e.disk.NewReader()
 	for i := lo; i < hi; i++ {
 		if stop != nil && stop() {
 			return nil, nil
 		}
-		res, err := e.oneRun(i)
+		res, err := e.oneRun(i, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -205,15 +207,15 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	return a, nil
 }
 
-// oneRun produces run i's result: a disk hit, or a fresh simulation
-// persisted before returning. On the replay path a run is one RunKey
-// hash (or a memo read), a disk read, and a decode. Replicas dedupe
-// through the store alone: a replica folded while its original is still
-// simulating elsewhere simulates again, to identical bytes, and its Put
-// is a no-op.
-func (e *executor) oneRun(i uint64) (scenario.Result, error) {
+// oneRun produces run i's result: a disk hit read through rd, or a
+// fresh simulation stored before returning. On the replay path a run is
+// one RunKey hash (or a memo read), a read from rd's block, and a
+// decode. Replicas dedupe through the store alone: a replica folded
+// while its original is still simulating elsewhere simulates again, to
+// identical bytes, and its Put is a no-op.
+func (e *executor) oneRun(i uint64, rd *runcache.Reader) (scenario.Result, error) {
 	key := e.keyAt(i)
-	b, hit, err := e.disk.Get(key)
+	b, hit, err := rd.Get(key)
 	if err != nil {
 		return scenario.Result{}, err
 	}
@@ -404,11 +406,15 @@ func (j *Job) recoverPanic() {
 // fold it, complete it, repeat — waiting out windows where every
 // remaining shard is leased to someone else (a remote worker may die
 // and its lease expire back to us). A taken shard holds no lease, so no
-// TTL can hand it to a remote worker mid-fold; a fold stops early only
-// on cancellation, after which nothing takes or leases again.
+// TTL can hand it to a remote worker mid-fold. A fold stops early on
+// cancellation, after which nothing takes or leases again, or when the
+// shard completes elsewhere: a remote worker whose lease expired before
+// the shard came here may still complete it first. The runs such a fold
+// counted come off runsDone before the worker moves on, and so before
+// Execute settles.
 func (j *Job) localWorker() {
 	for !j.cancelled() {
-		s, ok := j.leases.take()
+		s, done, ok := j.leases.take()
 		if !ok {
 			select {
 			case <-j.cancelCh:
@@ -419,15 +425,20 @@ func (j *Job) localWorker() {
 			}
 			continue
 		}
-		a, err := j.exec.foldShard(s, j.cancelled, func() { j.runsDone.Add(1) })
+		var counted uint64
+		a, err := j.exec.foldShard(s,
+			func() bool { return done.Load() || j.cancelled() },
+			func() { counted++; j.runsDone.Add(1) })
 		if err != nil {
 			j.fail(err)
 			return
 		}
-		if a == nil { // cancelled mid-shard
+		if a == nil && !done.Load() { // cancelled mid-shard
 			return
 		}
-		j.leases.complete(s, a)
+		if a == nil || j.leases.complete(s, a) { // completed elsewhere
+			j.runsDone.Add(-counted)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -67,19 +68,20 @@ type LeaseState struct {
 // into total in shard order 0,1,2,…, whatever order they arrive in —
 // the whole byte-identical-at-any-shape guarantee lives there — so the
 // table holds an entry only for a shard that is leased, queued for
-// reassignment or waiting on an earlier one: O(pending window), never
-// O(shards). All methods are safe for concurrent use; time is injected
-// so tests can drive expiry deterministically.
+// reassignment, folded locally or waiting on an earlier one: O(pending
+// window), never O(shards). All methods are safe for concurrent use;
+// time is injected so tests can drive expiry deterministically.
 type leaseTable struct {
 	mu  sync.Mutex
 	ttl time.Duration
 	now func() time.Time
 
-	n       uint64            // total shards
-	next    uint64            // next never-assigned shard
-	leases  map[uint64]*lease // outstanding remote leases, keyed by shard
-	free    []uint64          // expired shards awaiting reassignment, ascending
-	seq     uint64            // token counter
+	n       uint64                  // total shards
+	next    uint64                  // next never-assigned shard
+	leases  map[uint64]*lease       // outstanding remote leases, keyed by shard
+	folds   map[uint64]*atomic.Bool // local folds' done flags, keyed by shard
+	free    []uint64                // expired shards awaiting reassignment, ascending
+	seq     uint64                  // token counter
 	workers map[string]bool
 
 	total    *agg            // shards [0, merged), folded in shard order
@@ -100,6 +102,7 @@ func newLeaseTable(nShards uint64, cells int, ttl time.Duration, now func() time
 		now:      now,
 		n:        nShards,
 		leases:   make(map[uint64]*lease),
+		folds:    make(map[uint64]*atomic.Bool),
 		workers:  make(map[string]bool),
 		total:    newAgg(cells),
 		pending:  make(map[uint64]*agg),
@@ -130,13 +133,19 @@ func (lt *leaseTable) reapLocked() {
 // take hands out the lowest-index shard nobody holds, preferring
 // expired reassignments over fresh shards so the in-order merge window
 // stays small, and records no lease: the coordinator's own folds take
-// shards this way. ok is false when every remaining shard is done,
-// leased out or being folded — the caller waits (a lease may expire)
-// or, once finished is closed, stops.
-func (lt *leaseTable) take() (shard uint64, ok bool) {
+// shards this way. done turns true once the shard completes, which a
+// fold polls to stop early when a remote worker whose lease expired
+// completes the shard after all. ok is false when every remaining shard
+// is done, leased out or being folded — the caller waits (a lease may
+// expire) or, once finished is closed, stops.
+func (lt *leaseTable) take() (shard uint64, done *atomic.Bool, ok bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return lt.takeLocked()
+	if shard, ok = lt.takeLocked(); ok {
+		done = new(atomic.Bool)
+		lt.folds[shard] = done
+	}
+	return shard, done, ok
 }
 
 // takeLocked is take for callers that hold mu.
@@ -200,6 +209,10 @@ func (lt *leaseTable) complete(shard uint64, a *agg) (dup bool) {
 		return true
 	}
 	delete(lt.leases, shard)
+	if f := lt.folds[shard]; f != nil {
+		f.Store(true)
+		delete(lt.folds, shard)
+	}
 	lt.pending[shard] = a
 	for nxt, ok := lt.pending[lt.merged]; ok; nxt, ok = lt.pending[lt.merged] {
 		delete(lt.pending, lt.merged)

@@ -14,6 +14,12 @@
 // where the crc covers key, length, and value. Records are immutable
 // once written; a key is stored at most once (first write wins — values
 // are pure functions of their content key, so rewrites are identical).
+//
+// No record costs a syscall of its own. Put appends records to a write
+// buffer that reaches the file in one write per blockSize bytes (and
+// in Sync and Close), so a crash loses at most the Puts since the last
+// write; a Reader serves a fold's Gets from one pread per block. Both
+// read paths serve a record that is still in the write buffer.
 package runcache
 
 import (
@@ -48,10 +54,11 @@ const maxSegmentSize = 64 << 20
 // recHeaderSize is magic + key + value length.
 const recHeaderSize = 4 + 32 + 4
 
-// recoverBufSize is the read buffer of the index rebuild. A campaign
-// result record is 159 bytes, so one read covers ~400 records, where
-// reading the file directly costs two read syscalls per record.
-const recoverBufSize = 64 << 10
+// blockSize is the store's one I/O size: the index rebuild reads
+// through a buffer of it, Put's records reach the file in writes of up
+// to it, and a Reader's read-ahead block is one. A campaign result
+// record is 159 bytes, so one block covers ~400 records.
+const blockSize = 64 << 10
 
 // diskLoc locates one stored value inside a segment.
 type diskLoc struct {
@@ -60,26 +67,36 @@ type diskLoc struct {
 	size uint32 // value length
 }
 
-// Store is the disk tier. It is safe for concurrent use. Get touches no
-// store-wide lock: the index lookup takes one shard's read lock for a
-// map probe, the segment table is an atomically-published immutable
-// snapshot, and the value itself is a positioned read (pread) on the
-// segment file with no lock held at all — so parallel readers scale with
-// cores instead of convoying on a single mutex
-// (BenchmarkStoreGetParallel). Put serializes on the active segment.
+// segment is one segment file and how many of its bytes the file holds.
+// Every byte below end was put there by a completed write, so a pread
+// below it reads whole records; only the active segment's end moves.
+type segment struct {
+	f   *os.File
+	end atomic.Int64
+}
+
+// Store is the disk tier. It is safe for concurrent use. A Get of a
+// record already in the file touches no store-wide lock: the index
+// lookup takes one shard's read lock for a map probe, the segment table
+// is an atomically-published immutable snapshot, and the value itself
+// is a positioned read (pread) on the segment file with no lock held at
+// all — so parallel readers scale with cores instead of convoying on a
+// single mutex (BenchmarkStoreGetParallel). A record still in the write
+// buffer is copied out under segMu. Put serializes on segMu.
 type Store struct {
 	dir string
 
 	shards [storeShards]storeShard // key→location, striped by key[0]
 
-	// segs is a copy-on-write snapshot of all segment read handles; the
-	// last entry is the active segment. Readers Load it without locking;
+	// segs is a copy-on-write snapshot of all segments; the last entry
+	// is the active segment. Readers Load it without locking;
 	// rotateLocked publishes a fresh copy under segMu.
-	segs atomic.Pointer[[]*os.File]
+	segs atomic.Pointer[[]*segment]
 
-	segMu  sync.Mutex // guards active, size, count, rotation, and Put append order
-	active *os.File   // append handle for the last segment
-	size   int64      // current size of the active segment
+	segMu  sync.Mutex // guards active, size, buf, count, rotation, and Put append order
+	active *os.File   // append handle for the last segment; nil once a write failed
+	size   int64      // bytes of the active segment, buffered ones included
+	buf    []byte     // whole records appended since the last write
 	count  int        // distinct keys stored (mirrors the shard maps)
 
 	nGet, nGetHit, nPut atomic.Uint64
@@ -104,16 +121,18 @@ func (s *Store) nSegs() int {
 	return 0
 }
 
-// appendSeg publishes a new segment-table snapshot with f appended.
-// Callers hold segMu (or own the store exclusively, as OpenStore does).
-func (s *Store) appendSeg(f *os.File) {
-	var cur []*os.File
+// appendSeg publishes a new segment-table snapshot with f appended,
+// holding end bytes. Callers hold segMu (or own the store exclusively,
+// as OpenStore does).
+func (s *Store) appendSeg(f *os.File, end int64) {
+	var cur []*segment
 	if p := s.segs.Load(); p != nil {
 		cur = *p
 	}
-	next := make([]*os.File, len(cur)+1)
+	next := make([]*segment, len(cur)+1)
 	copy(next, cur)
-	next[len(cur)] = f
+	next[len(cur)] = &segment{f: f}
+	next[len(cur)].end.Store(end)
 	s.segs.Store(&next)
 }
 
@@ -146,7 +165,7 @@ func OpenStore(dir string) (*Store, error) {
 			s.Close()
 			return nil, err
 		}
-		s.appendSeg(f)
+		s.appendSeg(f, end)
 		s.size = end
 		s.active = f
 	}
@@ -170,7 +189,7 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("runcache: open segment: %w", err)
 	}
-	r := bufio.NewReaderSize(f, recoverBufSize)
+	r := bufio.NewReaderSize(f, blockSize)
 	var off int64
 	hdr := make([]byte, recHeaderSize)
 	var val []byte
@@ -216,27 +235,101 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 	return off, nil
 }
 
-// rotateLocked starts a fresh active segment. Callers hold segMu (or
-// own the store exclusively, as OpenStore does).
+// rotateLocked writes out the buffered records and starts a fresh
+// active segment. Callers hold segMu (or own the store exclusively, as
+// OpenStore does).
 func (s *Store) rotateLocked() error {
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	name := filepath.Join(s.dir, fmt.Sprintf("cache-%06d.seg", s.nSegs()+1))
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("runcache: new segment: %w", err)
 	}
-	s.appendSeg(f)
+	s.appendSeg(f, 0)
 	s.active = f
 	s.size = 0
 	return nil
 }
 
+// flushLocked writes the buffered records to the active segment in one
+// write. A failed write may leave part of a record in the file, so the
+// segment takes no more appends: the buffered records leave the index
+// (Get misses them, and a later Put stores them afresh) and the next
+// Put starts a new segment. Callers hold segMu.
+func (s *Store) flushLocked() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	_, err := s.active.Write(s.buf)
+	if err != nil {
+		for b := s.buf; len(b) > 0; {
+			k, n := Key(b[4:36]), binary.LittleEndian.Uint32(b[36:40])
+			sh := s.shard(k)
+			sh.mu.Lock()
+			delete(sh.index, k)
+			sh.mu.Unlock()
+			s.count--
+			b = b[recHeaderSize+int(n)+4:]
+		}
+		s.active = nil
+		err = fmt.Errorf("runcache: appending records: %w", err)
+	} else {
+		segs := *s.segs.Load()
+		segs[len(segs)-1].end.Store(s.size)
+	}
+	s.buf = s.buf[:0]
+	if cap(s.buf) > blockSize { // grown by a record larger than a block
+		s.buf = nil
+	}
+	return err
+}
+
+// readBuffered copies into p the active segment's bytes from loc.off,
+// up to len(p) of them, when loc's record is still in the write buffer.
+// ok is false once a write has moved it to the file or dropped it.
+func (s *Store) readBuffered(p []byte, loc diskLoc) (n int, ok bool) {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	start := s.size - int64(len(s.buf))
+	if s.active == nil || int(loc.seg) != s.nSegs()-1 || loc.off < start {
+		return 0, false
+	}
+	return copy(p, s.buf[loc.off-start:]), true
+}
+
+// readAt copies into p, which has room for the value, the bytes of
+// loc's segment from loc.off: up to len(p) of them from the file, never
+// past the last completed write, so a read racing appends sees whole
+// records only; or from the write buffer while the record is still
+// there. ok is false when a failed write dropped the record.
+func (s *Store) readAt(p []byte, loc diskLoc) (n int, ok bool, err error) {
+	seg := (*s.segs.Load())[loc.seg]
+	valEnd := loc.off + int64(loc.size)
+	end := seg.end.Load()
+	if valEnd > end {
+		if n, ok := s.readBuffered(p, loc); ok {
+			return n, true, nil
+		}
+		if end = seg.end.Load(); valEnd > end {
+			return 0, false, nil
+		}
+	}
+	n = int(min(int64(len(p)), end-loc.off))
+	if _, err := seg.f.ReadAt(p[:n], loc.off); err != nil {
+		return 0, false, fmt.Errorf("runcache: reading value: %w", err)
+	}
+	return n, true, nil
+}
+
 // Get returns the stored value for k, or ok=false when absent. The
 // returned slice is freshly allocated and owned by the caller. The
 // index probe holds one shard's read lock for a map lookup only; the
-// value read is a pread on the segment file with no lock held, so
-// concurrent Gets proceed fully in parallel (records are immutable once
-// indexed, and the segment snapshot that indexed them is never
-// unpublished while the store is open).
+// value read of a record already in the file is a pread with no lock
+// held, so concurrent Gets proceed fully in parallel (records are
+// immutable once written, and the segment snapshot that indexed them is
+// never unpublished while the store is open).
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if s == nil {
 		return nil, false, nil
@@ -246,18 +339,85 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	f := (*s.segs.Load())[loc.seg]
 	v := make([]byte, loc.size)
-	if _, err := f.ReadAt(v, loc.off); err != nil {
-		return nil, false, fmt.Errorf("runcache: reading value: %w", err)
+	if _, ok, err := s.readAt(v, loc); !ok {
+		return nil, false, err
 	}
 	s.nGetHit.Add(1)
 	return v, true, nil
 }
 
-// Put appends (k, v) to the active segment. Storing a key that is
-// already present is a no-op: values are content-addressed, so a
-// duplicate write is by definition identical.
+// Reader serves Gets for one goroutine through a private read-ahead
+// block. A Get outside the block refills it with one pread starting at
+// the value, clipped to the bytes the file holds, so a fold over
+// records stored in run order pays one syscall per block rather than
+// one per record, and concurrent folds never evict each other's block.
+// A Reader is not safe for concurrent use.
+type Reader struct {
+	s     *Store
+	mem   []byte // the block's memory, allocated by the first refill
+	block []byte // bytes [start, start+len(block)) of segment seg
+	seg   int32
+	start int64
+}
+
+// NewReader returns a Reader of s. A nil store's Reader is nil, which
+// misses every key.
+func (s *Store) NewReader() *Reader {
+	if s == nil {
+		return nil
+	}
+	return &Reader{s: s}
+}
+
+// Get is Store.Get without the copy: the returned slice views the
+// Reader's block and is valid until its next Get.
+func (r *Reader) Get(k Key) ([]byte, bool, error) {
+	if r == nil {
+		return nil, false, nil
+	}
+	s := r.s
+	s.nGet.Add(1)
+	loc, ok := s.lookup(k)
+	if !ok {
+		return nil, false, nil
+	}
+	if loc.seg != r.seg || loc.off < r.start || loc.off+int64(loc.size) > r.start+int64(len(r.block)) {
+		p := r.mem
+		if loc.size > blockSize {
+			p = make([]byte, loc.size)
+		} else if p == nil {
+			r.mem = make([]byte, blockSize)
+			p = r.mem
+		}
+		n, ok, err := s.readAt(p, loc)
+		if !ok {
+			return nil, false, err
+		}
+		r.block, r.seg, r.start = p[:n], loc.seg, loc.off
+	}
+	s.nGetHit.Add(1)
+	v := r.block[loc.off-r.start:]
+	return v[:loc.size:loc.size], true, nil
+}
+
+// appendRecord appends (k, v)'s record to b.
+func appendRecord(b []byte, k Key, v []byte) []byte {
+	rec := len(b)
+	b = append(b, diskMagic[:]...)
+	b = append(b, k[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
+	b = append(b, v...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[rec+4:]))
+}
+
+// Put appends (k, v) to the active segment through the write buffer,
+// which goes to the file in one write when this record would take it
+// past blockSize (a record larger than that goes out alone). Storing a
+// key that is already present is a no-op: values are
+// content-addressed, so a duplicate write is by definition identical.
+// A failed write's error is returned by the Put, Sync or Close that
+// made it.
 func (s *Store) Put(k Key, v []byte) error {
 	if s == nil {
 		return nil
@@ -267,31 +427,32 @@ func (s *Store) Put(k Key, v []byte) error {
 	if _, dup := s.lookup(k); dup { // Puts serialize on segMu, so this check is atomic
 		return nil
 	}
-	if s.size >= maxSegmentSize {
+	if s.active == nil || s.size >= maxSegmentSize {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	rec := make([]byte, recHeaderSize+len(v)+4)
-	copy(rec[:4], diskMagic[:])
-	copy(rec[4:36], k[:])
-	binary.LittleEndian.PutUint32(rec[36:40], uint32(len(v)))
-	copy(rec[recHeaderSize:], v)
-	crc := crc32.NewIEEE()
-	crc.Write(rec[4:recHeaderSize])
-	crc.Write(v)
-	binary.LittleEndian.PutUint32(rec[recHeaderSize+len(v):], crc.Sum32())
-	if _, err := s.active.Write(rec); err != nil {
-		return fmt.Errorf("runcache: appending record: %w", err)
+	n := recHeaderSize + len(v) + 4
+	if len(s.buf)+n > blockSize {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
 	}
+	if s.buf == nil {
+		s.buf = make([]byte, 0, blockSize)
+	}
+	s.buf = appendRecord(s.buf, k, v)
 	loc := diskLoc{seg: int32(s.nSegs() - 1), off: s.size + recHeaderSize, size: uint32(len(v))}
 	sh := s.shard(k)
 	sh.mu.Lock()
 	sh.index[k] = loc
 	sh.mu.Unlock()
 	s.count++
-	s.size += int64(len(rec))
+	s.size += int64(n)
 	s.nPut.Add(1)
+	if len(s.buf) > blockSize {
+		return s.flushLocked()
+	}
 	return nil
 }
 
@@ -314,42 +475,46 @@ func (s *Store) DiskStats() (gets, hits, puts uint64) {
 	return s.nGet.Load(), s.nGetHit.Load(), s.nPut.Load()
 }
 
-// Sync flushes the active segment to stable storage — the checkpoint
-// operation graceful shutdown relies on.
+// Sync writes out the buffered records and flushes the active segment
+// to stable storage — the checkpoint operation graceful shutdown relies
+// on.
 func (s *Store) Sync() error {
 	if s == nil {
 		return nil
 	}
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	if s.active == nil {
 		return nil
 	}
 	return s.active.Sync()
 }
 
-// Close syncs and releases every segment handle. The store must not be
-// used afterwards.
+// Close writes out the buffered records, syncs, and releases every
+// segment handle. The store must not be used afterwards.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
-	var first error
+	first := s.flushLocked()
 	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
+		if err := s.active.Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
 	if p := s.segs.Load(); p != nil {
-		for _, f := range *p {
-			if err := f.Close(); err != nil && first == nil {
+		for _, seg := range *p {
+			if err := seg.f.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	s.segs.Store(&[]*os.File{})
+	s.segs.Store(&[]*segment{})
 	s.active = nil
 	return first
 }

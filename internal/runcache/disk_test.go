@@ -3,12 +3,14 @@ package runcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -406,6 +408,373 @@ func TestDiskStoreNilSafe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// recVal is a test value of n bytes that differs by key and by salt.
+func recVal(i, n, salt int) []byte {
+	v := make([]byte, n)
+	for j := range v {
+		v[j] = byte(i*31 + j*7 + salt)
+	}
+	return v
+}
+
+// checkGet asserts that get serves want for key i, or misses when want
+// is nil.
+func checkGet(t *testing.T, via string, get func(Key) ([]byte, bool, error), i int, want []byte) {
+	t.Helper()
+	v, ok, err := get(testKey(i))
+	if err != nil || ok != (want != nil) || !bytes.Equal(v, want) {
+		t.Fatalf("%s(%d): %d bytes ok=%v err=%v, want %d bytes present=%v", via, i, len(v), ok, err, len(want), want != nil)
+	}
+}
+
+// TestDiskStoreServesBufferedRecords reads each record right after its
+// Put, through Store.Get and a Reader, while other goroutines' Puts
+// fill and write out the buffer underneath: a record is served from the
+// buffer until a write moves it to the file, and from the file after.
+func TestDiskStoreServesBufferedRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(0), recVal(0, 100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if seg := (*s.segs.Load())[0]; seg.end.Load() != 0 {
+		t.Fatalf("one small Put reached the file (%d bytes)", seg.end.Load())
+	}
+	checkGet(t, "Store.Get", s.Get, 0, recVal(0, 100, 0))
+	checkGet(t, "Reader.Get", s.NewReader().Get, 0, recVal(0, 100, 0))
+
+	const writers, perWriter = 4, 300
+	val := func(i int) []byte { return recVal(i, 50+i%700, 1) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rd := s.NewReader()
+			for i := 1 + w*perWriter; i <= (w+1)*perWriter; i++ {
+				if err := s.Put(testKey(i), val(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				for via, get := range map[string]func(Key) ([]byte, bool, error){"Store.Get": s.Get, "Reader.Get": rd.Get} {
+					if v, ok, err := get(testKey(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+						t.Errorf("%s(%d) after its Put: %d bytes ok=%v err=%v", via, i, len(v), ok, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != writers*perWriter+1 {
+		t.Fatalf("reopened Len=%d want %d", s.Len(), writers*perWriter+1)
+	}
+	rd := s.NewReader()
+	for i := 1; i <= writers*perWriter; i++ {
+		checkGet(t, "Reader.Get", rd.Get, i, val(i))
+	}
+}
+
+// TestDiskStoreReaderBlockDuringFlush fills Reader blocks while a writer
+// appends: a block holds only the bytes the file held when it was read,
+// so every Get through it returns a whole record, never the bytes past
+// the last completed write.
+func TestDiskStoreReaderBlockDuringFlush(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// A block read before a write ends where the file ended.
+	putSync := func(i int) {
+		t.Helper()
+		if err := s.Put(testKey(i), recVal(i, 300, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putSync(0)
+	rd := s.NewReader()
+	checkGet(t, "Reader.Get", rd.Get, 0, recVal(0, 300, 0))
+	if len(rd.block) != 300+4 {
+		t.Fatalf("block holds %d bytes, want the 304 the file held", len(rd.block))
+	}
+	putSync(1)
+	checkGet(t, "Reader.Get", rd.Get, 1, recVal(1, 300, 0))
+
+	const n = 3000
+	val := func(i int) []byte { return recVal(i, 100+i%1000, 2) }
+	var stored atomic.Int64 // keys [2, stored) are put
+	stored.Store(2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 2; i < n; i++ {
+			if err := s.Put(testKey(i), val(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			stored.Store(int64(i + 1))
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := s.NewReader()
+			for next := 2; next < n; {
+				hi := int(stored.Load())
+				for ; next < hi; next++ {
+					if v, ok, err := rd.Get(testKey(next)); err != nil || !ok || !bytes.Equal(v, val(next)) {
+						t.Errorf("Reader.Get(%d): %d bytes ok=%v err=%v", next, len(v), ok, err)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDiskStoreFailedWrite makes the write of buffered records fail by
+// replacing the active handle with a closed file. The Put, Sync or
+// Close that made the write returns its error, the buffered records
+// leave the index, the next Put starts a new segment, and a reopen
+// serves every record written before and after.
+func TestDiskStoreFailedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		trigger func(s *Store) error
+	}{
+		{"Put", func(s *Store) error { return s.Put(testKey(99), recVal(99, blockSize, 0)) }},
+		{"Sync", func(s *Store) error { return s.Sync() }},
+		{"Close", func(s *Store) error { return s.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				if err := s.Put(testKey(i), recVal(i, 200, 0)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 9 {
+					if err := s.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			closed, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed.Close()
+			s.segMu.Lock()
+			s.active = closed
+			s.segMu.Unlock()
+			if err := tc.trigger(s); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("%s returned %v, want the failed write's error", tc.name, err)
+			}
+			if tc.name != "Close" {
+				if s.Len() != 10 {
+					t.Fatalf("Len=%d after the failed write, want the 10 written records", s.Len())
+				}
+				rd := s.NewReader()
+				for i := 0; i < 20; i++ {
+					want := recVal(i, 200, 0)
+					if i >= 10 {
+						want = nil
+					}
+					checkGet(t, "Store.Get", s.Get, i, want)
+					checkGet(t, "Reader.Get", rd.Get, i, want)
+				}
+				checkGet(t, "Store.Get", s.Get, 99, nil)
+				for i := 20; i < 30; i++ {
+					if err := s.Put(testKey(i), recVal(i, 200, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if s.nSegs() != 2 {
+					t.Fatalf("%d segments, want the next Put to start a second", s.nSegs())
+				}
+				checkGet(t, "Store.Get", s.Get, 25, recVal(25, 200, 0))
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err = OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			after := 30
+			if tc.name == "Close" {
+				after = 20
+			}
+			if s.Len() != 10+after-20 {
+				t.Fatalf("reopened Len=%d want %d", s.Len(), 10+after-20)
+			}
+			for i := 0; i < after; i++ {
+				want := recVal(i, 200, 0)
+				if i >= 10 && i < 20 {
+					want = nil
+				}
+				checkGet(t, "Store.Get", s.Get, i, want)
+			}
+		})
+	}
+}
+
+// FuzzStoreOps runs a script of store operations against a map model.
+// Every Get, through Store.Get or either of two Readers, returns the
+// model's bytes or misses a key never put; a Close and reopen keeps
+// every Put; and an abandon and reopen (the handles closed with records
+// still buffered, as a SIGKILL leaves them) keeps exactly the records
+// whose write completed: every Put but those since the last write, a
+// suffix the model tracks from the flush rule (a write when a record
+// would take the buffer past blockSize, before a rotation, and in Sync
+// and Close).
+func FuzzStoreOps(f *testing.F) {
+	put := func(k byte, n int) []byte { return []byte{0, k, byte(n), byte(n >> 8)} }
+	var cross, big, mixed []byte
+	for i := 0; i < 20; i++ { // 20 records of ~4 KB cross one block
+		cross = append(cross, put(byte(i), 4000)...)
+		cross = append(cross, 4, byte(i)<<1|byte(i&1), 3, byte(i/2))
+	}
+	cross = append(cross, 7, 1, 3, 0, 4, 38, 3, 19)
+	big = append(append(put(1, 10), put(2, 100)...), 8, 3, 7, 4, 6, 3, 3, 4, 6, 7, 1, 3, 1, 3, 3)
+	mixed = append(append(append(put(5, 30), put(5, 9)...), put(6, 500)...), 6, 3, 5, 4, 12, 5)
+	mixed = append(append(mixed, put(7, 0)...), 4, 14, 7, 0, 4, 11, 3, 7)
+	f.Add(cross)
+	f.Add(big)
+	f.Add(mixed)
+	f.Add(append(append(cross, big...), mixed...))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		dir := t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { s.Close() }()
+		readers := [2]*Reader{s.NewReader(), s.NewReader()}
+		model := map[int][]byte{}
+		var pending []int // keys put since the last write, in order
+		pendingBytes := 0
+		written := func() { pending, pendingBytes = nil, 0 }
+		salt := 0
+		doPut := func(k, n int) {
+			salt++
+			v := recVal(k, n, salt)
+			if err := s.Put(testKey(k), v); err != nil {
+				t.Fatal(err)
+			}
+			if _, dup := model[k]; dup {
+				return
+			}
+			model[k] = v
+			rec := recHeaderSize + n + 4
+			if pendingBytes+rec > blockSize {
+				written()
+			}
+			pending, pendingBytes = append(pending, k), pendingBytes+rec
+			if pendingBytes > blockSize {
+				written()
+			}
+		}
+		checkAll := func() {
+			if s.Len() != len(model) {
+				t.Fatalf("Len=%d, model holds %d", s.Len(), len(model))
+			}
+			for k := 0; k < 64; k++ {
+				checkGet(t, "Store.Get", s.Get, k, model[k])
+			}
+		}
+		reopen := func() {
+			if s, err = OpenStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			readers = [2]*Reader{s.NewReader(), s.NewReader()}
+		}
+		for ops := 0; len(script) > 0 && ops < 200; ops++ {
+			op := script[0] % 9
+			script = script[1:]
+			arg := func() int {
+				if len(script) == 0 {
+					return 0
+				}
+				b := script[0]
+				script = script[1:]
+				return int(b)
+			}
+			switch op {
+			case 0, 1, 2:
+				k := arg() % 64
+				doPut(k, (arg()|arg()<<8)%4097)
+			case 3:
+				k := arg() % 64
+				checkGet(t, "Store.Get", s.Get, k, model[k])
+			case 4:
+				a := arg()
+				k := (a >> 1) % 64
+				checkGet(t, "Reader.Get", readers[a&1].Get, k, model[k])
+			case 5:
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				written()
+			case 6:
+				s.segMu.Lock()
+				err := s.rotateLocked()
+				s.segMu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				written()
+			case 7:
+				if arg()&1 == 0 {
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, seg := range *s.segs.Load() {
+						seg.f.Close()
+					}
+					for _, k := range pending {
+						delete(model, k)
+					}
+				}
+				written()
+				reopen()
+				checkAll()
+			case 8:
+				doPut(arg()%64, blockSize+arg())
+			}
+		}
+		checkAll()
+	})
 }
 
 // FuzzStoreSegment damages a segment of intact records: it cuts the
