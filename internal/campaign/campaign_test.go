@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -481,6 +482,47 @@ func TestWarmRunAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a warm run allocates %v times, want 0", allocs)
+	}
+}
+
+// TestWarmFoldAllocs pins one read-ahead block per worker: folding
+// shards of a warm store through one Reader allocates the shard
+// aggregates and nothing of the size of a block, so a Reader made per
+// fold, with its 64 KB block, fails it.
+func TestWarmFoldAllocs(t *testing.T) {
+	store, err := runcache.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	spec := smallSpec()
+	runToBytes(t, spec, Options{Jobs: 1, Disk: store}) // cold: fill the store
+	j, err := New(spec, Options{Jobs: 1, Disk: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := j.exec
+	if e.nShards() < 4 {
+		t.Fatalf("%d shards, want at least 4", e.nShards())
+	}
+	rd := store.NewReader()
+	if _, err := e.foldShard(3, rd, nil, nil); err != nil { // fills rd's block
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := uint64(0); s < 3; s++ {
+		if a, err := e.foldShard(s, rd, nil, nil); err != nil || a == nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const block = 64 << 10 // runcache's read-ahead block
+	if perFold := (after.TotalAlloc - before.TotalAlloc) / 3; perFold >= block/2 {
+		t.Errorf("a warm fold allocates %d bytes, want under half a %d-byte block", perFold, block)
+	}
+	if e.simulated.Load() != 0 {
+		t.Fatalf("a warm fold simulated %d runs", e.simulated.Load())
 	}
 }
 

@@ -248,7 +248,7 @@ func TestLateRemoteCompletionStopsLocalFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ref.exec.foldShard(0, nil, nil)
+	a, err := ref.exec.foldShard(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 	e := j.exec
 	var payloads [][]byte
 	for s := uint64(0); s < e.nShards(); s++ {
-		a, err := e.foldShard(s, nil, nil)
+		a, err := e.foldShard(s, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		a, err := e.foldShard(grant.Shard, nil, nil)
+		a, err := e.foldShard(grant.Shard, nil, nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -467,7 +467,7 @@ func TestDoneProgressCountsEveryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ref.exec.foldShard(0, nil, nil)
+	a, err := ref.exec.foldShard(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +735,7 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil)
+	a, err := j.exec.foldShard(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -841,7 +841,7 @@ func TestServerShardModelVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil)
+	a, err := j.exec.foldShard(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -978,7 +978,7 @@ func TestWorkerRefusesMismatchedGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.once(context.Background()); err == nil || !strings.Contains(err.Error(), "model version") {
+	if _, err := w.once(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "model version") {
 		t.Fatalf("once = %v, want a model-version refusal", err)
 	}
 	if w.Refused.Load() != 1 {
@@ -998,7 +998,7 @@ func TestWorkerLeasesWithoutListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worked, err := w.once(context.Background()); worked || err != nil {
+	if worked, err := w.once(context.Background(), nil); worked || err != nil {
 		t.Fatalf("once = %v, %v; want an idle poll", worked, err)
 	}
 	if got := reqs(); len(got) != 1 || got[0] != "POST /lease" {
@@ -1021,7 +1021,7 @@ func TestHonestShardsPassValidation(t *testing.T) {
 	jspec := j.Spec()
 	digest, _ := jspec.Digest()
 	for s := uint64(0); s < j.exec.nShards(); s++ {
-		a, err := j.exec.foldShard(s, nil, nil)
+		a, err := j.exec.foldShard(s, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

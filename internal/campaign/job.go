@@ -175,13 +175,15 @@ func (e *executor) keyAt(i uint64) runcache.Key {
 }
 
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
-// in index order, reading the store through a Reader of its own. onRun
-// fires after each folded run (progress accounting); stop is polled
-// between runs and, when it fires, foldShard returns (nil, nil) —
-// complete nothing. A panic anywhere in a run or in the key memo's fill
-// (an engine bug) converts to an error rather than crashing the
+// in index order, reading the store through rd: a Reader of e.disk that
+// the calling worker keeps for every shard it folds, so a replay holds
+// one read-ahead block per worker rather than allocating one per shard.
+// onRun fires after each folded run (progress accounting); stop is
+// polled between runs and, when it fires, foldShard returns (nil, nil)
+// — complete nothing. A panic anywhere in a run or in the key memo's
+// fill (an engine bug) converts to an error rather than crashing the
 // process.
-func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, err error) {
+func (e *executor) foldShard(s uint64, rd *runcache.Reader, stop func() bool, onRun func()) (a *agg, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			a, err = nil, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
@@ -190,7 +192,6 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 	e.memoizeKeys()
 	lo, hi := e.shardRange(s)
 	a = newAgg(e.g.cells())
-	rd := e.disk.NewReader()
 	for i := lo; i < hi; i++ {
 		if stop != nil && stop() {
 			return nil, nil
@@ -413,6 +414,7 @@ func (j *Job) recoverPanic() {
 // counted come off runsDone before the worker moves on, and so before
 // Execute settles.
 func (j *Job) localWorker() {
+	rd := j.opts.Disk.NewReader()
 	for !j.cancelled() {
 		s, done, ok := j.leases.take()
 		if !ok {
@@ -426,7 +428,7 @@ func (j *Job) localWorker() {
 			continue
 		}
 		var counted uint64
-		a, err := j.exec.foldShard(s,
+		a, err := j.exec.foldShard(s, rd,
 			func() bool { return done.Load() || j.cancelled() },
 			func() { counted++; j.runsDone.Add(1) })
 		if err != nil {

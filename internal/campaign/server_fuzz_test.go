@@ -71,7 +71,7 @@ func FuzzServerHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil)
+	a, err := j.exec.foldShard(0, nil, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -139,11 +139,13 @@ const (
 	backoffMax = 5 * time.Second
 )
 
-// loop is one lease-execute-complete cycle runner.
+// loop is one lease-execute-complete cycle runner. It folds every
+// shard through one Reader of the worker's store.
 func (w *Worker) loop(ctx context.Context) {
+	rd := w.opts.Disk.NewReader()
 	backoff := backoffMin
 	for ctx.Err() == nil {
-		worked, err := w.once(ctx)
+		worked, err := w.once(ctx, rd)
 		switch {
 		case err != nil:
 			w.logf("worker: %v (retrying in %v)", err, backoff)
@@ -170,9 +172,9 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // once tries to lease and execute one shard of the coordinator's
-// running campaign. worked=false means the coordinator had nothing for
-// us.
-func (w *Worker) once(ctx context.Context) (worked bool, err error) {
+// running campaign, reading the worker's store through rd.
+// worked=false means the coordinator had nothing for us.
+func (w *Worker) once(ctx context.Context, rd *runcache.Reader) (worked bool, err error) {
 	g, ok, err := w.lease(ctx)
 	if err != nil || !ok {
 		return false, err
@@ -184,7 +186,7 @@ func (w *Worker) once(ctx context.Context) (worked bool, err error) {
 		return true, fmt.Errorf("campaign: %s shard %d granted under model version %d, this worker runs %d",
 			g.Campaign, g.Shard, g.ModelVersion, w.opts.modelVersion)
 	}
-	return true, w.executeShard(ctx, g)
+	return true, w.executeShard(ctx, g, rd)
 }
 
 // executorFor compiles the campaign's normalised spec into this
@@ -258,11 +260,11 @@ func (w *Worker) lease(ctx context.Context) (g LeaseGrant, ok bool, err error) {
 	}
 }
 
-// executeShard folds the leased shard locally, heartbeating the lease
-// at TTL/3, and posts the aggregate. A lost lease (coordinator says
-// 410 on renew) aborts the fold — the shard was reassigned, finishing
-// it would only produce a duplicate.
-func (w *Worker) executeShard(ctx context.Context, g LeaseGrant) error {
+// executeShard folds the leased shard locally through rd, heartbeating
+// the lease at TTL/3, and posts the aggregate. A lost lease
+// (coordinator says 410 on renew) aborts the fold — the shard was
+// reassigned, finishing it would only produce a duplicate.
+func (w *Worker) executeShard(ctx context.Context, g LeaseGrant, rd *runcache.Reader) error {
 	id := g.Campaign
 	e, err := w.executorFor(ctx, id)
 	if err != nil {
@@ -297,7 +299,7 @@ func (w *Worker) executeShard(ctx context.Context, g LeaseGrant) error {
 		}
 	}()
 
-	a, err := e.foldShard(g.Shard,
+	a, err := e.foldShard(g.Shard, rd,
 		func() bool { return ctx.Err() != nil || lost.Load() },
 		nil)
 	stopHB()

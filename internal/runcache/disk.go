@@ -23,11 +23,11 @@
 package runcache
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,9 +54,9 @@ const maxSegmentSize = 64 << 20
 // recHeaderSize is magic + key + value length.
 const recHeaderSize = 4 + 32 + 4
 
-// blockSize is the store's one I/O size: the index rebuild reads
-// through a buffer of it, Put's records reach the file in writes of up
-// to it, and a Reader's read-ahead block is one. A campaign result
+// blockSize is the store's one I/O size: the index rebuild preads the
+// segments in blocks of it, Put's records reach the file in writes of
+// up to it, and a Reader's read-ahead block is one. A campaign result
 // record is 159 bytes, so one block covers ~400 records.
 const blockSize = 64 << 10
 
@@ -149,21 +149,44 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, err
 	}
 	sort.Strings(names)
-	s := &Store{dir: dir}
-	for i := range s.shards {
-		s.shards[i].index = make(map[Key]diskLoc)
+	files := make([]*os.File, 0, len(names))
+	sizes := make([]int64, 0, len(names))
+	fail := func(err error) (*Store, error) {
+		for _, f := range files {
+			f.Close()
+		}
+		return nil, err
 	}
+	var total int64
 	for _, name := range names {
 		f, err := os.OpenFile(name, os.O_RDWR, 0o644)
 		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("runcache: open segment: %w", err)
+			return fail(fmt.Errorf("runcache: open segment: %w", err))
 		}
-		end, err := s.recoverSegment(f, int32(s.nSegs()))
+		files = append(files, f)
+		fi, err := f.Stat()
 		if err != nil {
-			f.Close()
-			s.Close()
-			return nil, err
+			return fail(fmt.Errorf("runcache: open segment: %w", err))
+		}
+		sizes = append(sizes, fi.Size())
+		total += fi.Size()
+	}
+	s := &Store{dir: dir}
+	var buf []byte // the scan's one block, shared by every segment
+	hint := 0
+	if len(files) > 0 {
+		buf = make([]byte, blockSize)
+		if hint, err = stripeHint(files[0], sizes[0], total, buf); err != nil {
+			return fail(err)
+		}
+	}
+	for i := range s.shards {
+		s.shards[i].index = make(map[Key]diskLoc, hint)
+	}
+	for i, f := range files {
+		end, err := s.recoverSegment(f, int32(i), sizes[i], buf)
+		if err != nil {
+			return fail(err)
 		}
 		s.appendSeg(f, end)
 		s.size = end
@@ -178,56 +201,87 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// recoverSegment scans one segment sequentially, indexing every intact
-// record and truncating the file at the first torn or corrupt one. A
-// header whose length runs past the end of the file is corrupt too: it
-// is never trusted to size a read. The scan reads through a buffer, so
-// the file position runs ahead of off, which counts record lengths; the
-// final Seek puts it back at off, where Put appends.
-func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("runcache: open segment: %w", err)
+// stripeHint sizes each index stripe so that rebuilding the index never
+// grows a map: the segments' total bytes over the length of the first
+// segment's first record estimate the record count, which is exact when
+// every record has one length, as a campaign's do. Keys are uniform in
+// their low byte, so a stripe's share is binomial around total/
+// storeShards with a spread of about its square root; four of those are
+// slack. A first header that fails its magic or length check gives no
+// estimate, and since a record is at least recHeaderSize+4 bytes the
+// estimate never exceeds the records the bytes could hold.
+func stripeHint(f *os.File, size, total int64, buf []byte) (int, error) {
+	if size < recHeaderSize+4 {
+		return 0, nil
 	}
-	r := bufio.NewReaderSize(f, blockSize)
-	var off int64
-	hdr := make([]byte, recHeaderSize)
-	var val []byte
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			break // clean EOF or torn header: truncate here
+	h := buf[:recHeaderSize]
+	if _, err := f.ReadAt(h, 0); err != nil {
+		return 0, fmt.Errorf("runcache: reading segment: %w", err)
+	}
+	rec := recHeaderSize + int64(binary.LittleEndian.Uint32(h[36:40])) + 4
+	if [4]byte(h[:4]) != diskMagic || rec > size {
+		return 0, nil
+	}
+	per := total / rec / storeShards
+	return int(per + 4*int64(math.Sqrt(float64(per))) + 1), nil
+}
+
+// recoverSegment scans the size bytes of one segment, indexing every
+// intact record and truncating the file at the first torn or corrupt
+// one. It preads the segment in blocks of len(buf) bytes and checks
+// each record where it lies: the magic, then the length against the
+// bytes left in the file (a header is never trusted to size a read),
+// then one crc32 over the key, length and value. A record that crosses
+// the block's end starts the next block, and one larger than a block is
+// read alone. Preads leave the file position at 0, so the final Seek
+// puts it at the end of the last intact record, where Put appends.
+func (s *Store) recoverSegment(f *os.File, segIdx int32, size int64, buf []byte) (int64, error) {
+	var off, start int64 // the next record; the file offset of block[0]
+	var block []byte
+	read := func(p []byte) error {
+		start, block = off, p[:min(int64(len(p)), size-off)]
+		if _, err := f.ReadAt(block, off); err != nil {
+			return fmt.Errorf("runcache: reading segment: %w", err)
 		}
-		if [4]byte(hdr[:4]) != diskMagic {
+		return nil
+	}
+	for off+recHeaderSize <= size { // else a clean end or a torn header
+		if off+recHeaderSize > start+int64(len(block)) {
+			if err := read(buf); err != nil {
+				return 0, err
+			}
+		}
+		h := block[off-start:]
+		n := binary.LittleEndian.Uint32(h[36:40])
+		rec := recHeaderSize + int64(n) + 4
+		if [4]byte(h[:4]) != diskMagic || rec > size-off {
 			break
 		}
-		n := binary.LittleEndian.Uint32(hdr[36:40])
-		if int64(n)+4 > fi.Size()-off-recHeaderSize {
+		if off+rec > start+int64(len(block)) {
+			p := buf
+			if rec > int64(len(buf)) {
+				p = make([]byte, rec)
+			}
+			if err := read(p); err != nil {
+				return 0, err
+			}
+		}
+		r := block[off-start : off-start+rec]
+		if crc32.ChecksumIEEE(r[4:rec-4]) != binary.LittleEndian.Uint32(r[rec-4:]) {
 			break
 		}
-		if cap(val) < int(n)+4 {
-			val = make([]byte, int(n)+4)
-		}
-		val = val[:int(n)+4]
-		if _, err := io.ReadFull(r, val); err != nil {
-			break
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[4:]) // key + length
-		crc.Write(val[:n])
-		if crc.Sum32() != binary.LittleEndian.Uint32(val[n:]) {
-			break
-		}
-		var k Key
-		copy(k[:], hdr[4:36])
+		k := Key(r[4:36])
 		sh := s.shard(k)
 		if _, dup := sh.index[k]; !dup {
 			sh.index[k] = diskLoc{seg: segIdx, off: off + recHeaderSize, size: n}
 			s.count++
 		}
-		off += recHeaderSize + int64(n) + 4
+		off += rec
 	}
-	if err := f.Truncate(off); err != nil {
-		return 0, fmt.Errorf("runcache: truncating torn tail: %w", err)
+	if off < size {
+		if err := f.Truncate(off); err != nil {
+			return 0, fmt.Errorf("runcache: truncating torn tail: %w", err)
+		}
 	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return 0, err

@@ -2,9 +2,11 @@ package runcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -120,7 +122,7 @@ func TestDiskStoreTornTailRecovery(t *testing.T) {
 	}{
 		{"chop-%d", 10, ""},
 		// 2,000 records of ~150 bytes (~300 KB) make the index rebuild
-		// cross several refills of its read buffer.
+		// cross several of its blocks.
 		{"records-2000-chop-%d", 2000, strings.Repeat("x", 100)},
 	} {
 		for _, chop := range []int{1, 3, 7, 20, 39} {
@@ -648,6 +650,198 @@ func TestDiskStoreFailedWrite(t *testing.T) {
 	}
 }
 
+// TestDiskStoreRecoverAcrossBlocks reopens a segment several blocks
+// long: 2,001 records of 115-byte values (a campaign result record is
+// 159 bytes), one of them a 100 KB value that the rebuild reads alone.
+// Intact, every value comes back bit-exact. Damaged past the first
+// block — cut inside the record that straddles the first block
+// boundary, one flipped crc byte in the first record wholly inside the
+// second block, or cut exactly at a block boundary — a reopen serves
+// exactly the records before the damage, and a Put after it survives
+// another reopen.
+func TestDiskStoreRecoverAcrossBlocks(t *testing.T) {
+	const n, big = 2001, 1000 // record big holds the 100 KB value
+	val := func(i int) []byte {
+		if i == big {
+			return recVal(i, 100<<10, 0)
+		}
+		return recVal(i, 115, 0)
+	}
+	src := t.TempDir()
+	s, err := OpenStore(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int, n) // offset one past each record
+	for i, end := 0, 0; i < n; i++ {
+		if err := s.Put(testKey(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		end += recHeaderSize + len(val(i)) + 4
+		ends[i] = end
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "cache-000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := func(cut int) int { // records wholly below cut
+		i := 0
+		for i < n && ends[i] <= cut {
+			i++
+		}
+		return i
+	}
+	straddle := before(blockSize) // starts below blockSize, ends past it
+	for _, tc := range []struct {
+		name   string
+		damage func(raw []byte) []byte
+		intact int
+	}{
+		{"intact", func(raw []byte) []byte { return raw }, n},
+		{"cut-inside-straddling-record", func(raw []byte) []byte {
+			return raw[:(blockSize+ends[straddle])/2]
+		}, straddle},
+		{"crc-in-second-block", func(raw []byte) []byte {
+			raw[ends[straddle+1]-1] ^= 0x40
+			return raw
+		}, straddle + 1},
+		{"cut-at-block-boundary", func(raw []byte) []byte { return raw[:2*blockSize] }, before(2 * blockSize)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			damaged := tc.damage(bytes.Clone(raw))
+			if err := os.WriteFile(filepath.Join(dir, "cache-000001.seg"), damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(s *Store, extra int) {
+				t.Helper()
+				if s.Len() != tc.intact+extra {
+					t.Fatalf("Len=%d want %d intact records + %d", s.Len(), tc.intact, extra)
+				}
+				rd := s.NewReader()
+				for i := 0; i < n; i++ {
+					want := val(i)
+					if i >= tc.intact {
+						want = nil
+					}
+					checkGet(t, "Store.Get", s.Get, i, want)
+					checkGet(t, "Reader.Get", rd.Get, i, want)
+				}
+			}
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(s, 0)
+			if err := s.Put(testKey(n), val(n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = OpenStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			check(s, 1)
+			checkGet(t, "Store.Get", s.Get, n, val(n))
+		})
+	}
+}
+
+// TestDiskStoreIndexEstimate covers the record-count estimate that
+// sizes the index stripes before a rebuild. On a store of one record
+// length under sha256 keys, the campaign's shape, no stripe holds more
+// keys than its hint, so the rebuild never grows a map. A first record
+// shorter than the rest overestimates, and a first header with a bad
+// magic gives no estimate; either way the store opens and serves every
+// intact record.
+func TestDiskStoreIndexEstimate(t *testing.T) {
+	open := func(t *testing.T, key func(i int) Key, vals func(i int) []byte, n int, damage func(raw []byte)) (*Store, int) {
+		t.Helper()
+		dir := t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := s.Put(key(i), vals(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, "cache-000001.seg")
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage(raw)
+		if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		hint, err := stripeHint(f, int64(len(raw)), int64(len(raw)), make([]byte, blockSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = OpenStore(dir); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, hint
+	}
+	t.Run("uniform", func(t *testing.T) {
+		const n = 14400
+		digest := func(i int) Key { return sha256.Sum256(binary.LittleEndian.AppendUint64(nil, uint64(i))) }
+		s, hint := open(t, digest, func(i int) []byte { return recVal(i, 115, 0) }, n, func([]byte) {})
+		if s.Len() != n {
+			t.Fatalf("Len=%d want %d", s.Len(), n)
+		}
+		for i := range s.shards {
+			if got := len(s.shards[i].index); got > hint {
+				t.Fatalf("stripe %d holds %d keys, more than its hint %d", i, got, hint)
+			}
+		}
+	})
+	t.Run("empty-first-value", func(t *testing.T) {
+		const n = 41
+		val := func(i int) []byte {
+			if i == 0 {
+				return []byte{}
+			}
+			return recVal(i, 8<<10, 0)
+		}
+		s, hint := open(t, testKey, val, n, func([]byte) {})
+		if total := 44 + (n-1)*(recHeaderSize+8<<10+4); hint < total/44/storeShards {
+			t.Fatalf("hint %d for %d bytes whose first record is 44 bytes long", hint, total)
+		}
+		if s.Len() != n {
+			t.Fatalf("Len=%d want %d", s.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			checkGet(t, "Store.Get", s.Get, i, val(i))
+		}
+	})
+	t.Run("bad-first-magic", func(t *testing.T) {
+		s, hint := open(t, testKey, func(i int) []byte { return recVal(i, 115, 0) }, 100, func(raw []byte) { raw[0] ^= 0xFF })
+		if hint != 0 {
+			t.Fatalf("hint %d from a header with a bad magic", hint)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("Len=%d want 0 (the first record is corrupt)", s.Len())
+		}
+	})
+}
+
 // FuzzStoreOps runs a script of store operations against a map model.
 // Every Get, through Store.Get or either of two Readers, returns the
 // model's bytes or misses a key never put; a Close and reopen keeps
@@ -783,20 +977,37 @@ func FuzzStoreOps(f *testing.F) {
 // serve bit-exact, and count, exactly the records that lie wholly
 // before the first damaged byte (a damaged record passes only by
 // forging its crc32); and a Put after reopening must survive another
-// reopen.
+// reopen. Seeds cross the rebuild's first block, hold a value larger
+// than a block, and cut inside the record that straddles the boundary.
 func FuzzStoreSegment(f *testing.F) {
 	badLen := func(n uint32) []byte {
 		h := append(append([]byte{}, diskMagic[:]...), make([]byte, 32)...)
 		return binary.LittleEndian.AppendUint32(h, n)
 	}
+	const whole = math.MaxUint32 // a cut past the end: no cut
 	vals := []byte("alpha\x00\x00bravo-charlie\x00d\x00echo-foxtrot-golf")
-	f.Add(vals, uint16(0xFFFF), []byte(nil))
-	f.Add(vals, uint16(0xFFFF), badLen(0xFFFFFFFC))
-	f.Add(vals, uint16(0xFFFF), append(badLen(1<<30), "short"...))
-	f.Add(vals, uint16(recHeaderSize-4), []byte{0xFC, 0xFF, 0xFF, 0xFF})
-	f.Add(vals, uint16(60), []byte(nil))
-	f.Add(vals, uint16(0xFFFF), bytes.Repeat([]byte{0xFF}, 123))
-	f.Fuzz(func(t *testing.T, vals []byte, cut uint16, tail []byte) {
+	f.Add(vals, uint32(whole), []byte(nil))
+	f.Add(vals, uint32(whole), badLen(0xFFFFFFFC))
+	f.Add(vals, uint32(whole), append(badLen(1<<30), "short"...))
+	f.Add(vals, uint32(recHeaderSize-4), []byte{0xFC, 0xFF, 0xFF, 0xFF})
+	f.Add(vals, uint32(60), []byte(nil))
+	f.Add(vals, uint32(whole), bytes.Repeat([]byte{0xFF}, 123))
+	// 40 records of 2 KB values cross the first 64 KB block; record
+	// blockSize/rec straddles its end.
+	const rec = recHeaderSize + 2048 + 4
+	var cross []byte
+	for i := 0; i < 40; i++ {
+		cross = append(append(cross, bytes.Repeat([]byte{byte('a' + i)}, 2048)...), 0)
+	}
+	straddleCut := uint32(blockSize/rec*rec + rec/2)
+	f.Add(cross, uint32(whole), []byte(nil))
+	f.Add(cross, straddleCut, []byte(nil))
+	f.Add(cross, straddleCut, badLen(0xFFFFFFFC))
+	f.Add(cross, uint32(2*rec), cross[:rec])
+	big := append(append([]byte("alpha\x00"), bytes.Repeat([]byte{'x'}, blockSize+4000)...), "\x00bravo"...)
+	f.Add(big, uint32(whole), []byte(nil))
+	f.Add(big, uint32(blockSize+100), []byte(nil))
+	f.Fuzz(func(t *testing.T, vals []byte, cut uint32, tail []byte) {
 		recs := bytes.Split(vals, []byte{0})
 		if len(recs) > 64 {
 			recs = recs[:64]
@@ -871,6 +1082,43 @@ func FuzzStoreSegment(f *testing.F) {
 			t.Fatalf("put after recovery lost on reopen: %q ok=%v err=%v", v, ok, err)
 		}
 	})
+}
+
+// BenchmarkOpenStore reopens the store a warm campaign replays: one
+// segment of 14,400 records of 115-byte values (the campaign-warm
+// workload's 2,289,600 bytes). Each iteration rebuilds the index from
+// the file; the Close is not timed.
+func BenchmarkOpenStore(b *testing.B) {
+	dir := b.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 14400
+	for i := 0; i < n; i++ {
+		if err := s.Put(testKey(i), recVal(i, 115, 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := OpenStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Len() != n {
+			b.Fatalf("Len=%d want %d", s.Len(), n)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }
 
 // BenchmarkStoreGetParallel measures concurrent Get throughput — the
