@@ -463,22 +463,27 @@ func TestWarmRunAllocs(t *testing.T) {
 	}
 	e := j.exec
 	rd := store.NewReader()
-	if _, err := e.oneRun(3, rd); err != nil { // cold: simulate and store
-		t.Fatal(err)
+	if _, hit, err := e.oneRun(3, rd); err != nil || hit { // cold: simulate and store
+		t.Fatalf("cold run: hit %v, %v", hit, err)
 	}
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.oneRun(3, rd); err != nil { // fills rd's block
-		t.Fatal(err)
+	if _, hit, err := e.oneRun(3, rd); err != nil || !hit { // fills rd's block
+		t.Fatalf("first warm run: hit %v, %v", hit, err)
 	}
+	var hits int
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.oneRun(3, rd); err != nil {
+		_, hit, err := e.oneRun(3, rd)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if hit {
+			hits++
+		}
 	})
-	if hits := e.diskHits.Load(); hits != 102 {
-		t.Fatalf("%d store hits, want 102 warm runs", hits)
+	if hits != 101 {
+		t.Fatalf("%d store hits, want 101 warm runs", hits)
 	}
 	if allocs != 0 {
 		t.Errorf("a warm run allocates %v times, want 0", allocs)
@@ -506,13 +511,15 @@ func TestWarmFoldAllocs(t *testing.T) {
 		t.Fatalf("%d shards, want at least 4", e.nShards())
 	}
 	rd := store.NewReader()
-	if _, err := e.foldShard(3, rd, nil, nil); err != nil { // fills rd's block
+	if _, err := e.foldShard(3, rd, nil); err != nil { // fills rd's block
 		t.Fatal(err)
 	}
+	var reps [3]shardReport
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for s := uint64(0); s < 3; s++ {
-		if a, err := e.foldShard(s, rd, nil, nil); err != nil || a == nil {
+	for s := range reps {
+		var err error
+		if reps[s], err = e.foldShard(uint64(s), rd, nil); err != nil || reps[s].agg == nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
@@ -521,8 +528,10 @@ func TestWarmFoldAllocs(t *testing.T) {
 	if perFold := (after.TotalAlloc - before.TotalAlloc) / 3; perFold >= block/2 {
 		t.Errorf("a warm fold allocates %d bytes, want under half a %d-byte block", perFold, block)
 	}
-	if e.simulated.Load() != 0 {
-		t.Fatalf("a warm fold simulated %d runs", e.simulated.Load())
+	for s, rep := range reps {
+		if rep.runs == 0 || rep.simulated != 0 || rep.diskHits != rep.runs {
+			t.Fatalf("warm shard %d reports %d simulated and %d disk hits of %d runs", s, rep.simulated, rep.diskHits, rep.runs)
+		}
 	}
 }
 

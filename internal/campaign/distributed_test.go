@@ -168,7 +168,7 @@ func TestLeaseTableHoldsNoShardEntries(t *testing.T) {
 func TestLeaseTableTake(t *testing.T) {
 	clk := newFakeClock()
 	lt := newLeaseTable(4, 1, 10*time.Second, clk.now)
-	if s, _, ok := lt.take(); !ok || s != 0 {
+	if s, ok := lt.take(); !ok || s != 0 {
 		t.Fatalf("take = %d, %v; want shard 0", s, ok)
 	}
 	if s, _, ok := lt.acquire("remote/a"); !ok || s != 1 {
@@ -178,16 +178,16 @@ func TestLeaseTableTake(t *testing.T) {
 		t.Fatalf("state %+v: want the one remote lease and worker only", st)
 	}
 	clk.advance(11 * time.Second)
-	if s, _, ok := lt.take(); !ok || s != 1 {
+	if s, ok := lt.take(); !ok || s != 1 {
 		t.Fatalf("take after expiry = %d, %v; want reassigned shard 1", s, ok)
 	}
 	if s, _, ok := lt.acquire("remote/b"); !ok || s != 2 {
 		t.Fatalf("acquire after expiry = %d, %v; want shard 2, not a taken one", s, ok)
 	}
-	if s, _, ok := lt.take(); !ok || s != 3 {
+	if s, ok := lt.take(); !ok || s != 3 {
 		t.Fatalf("take = %d, %v; want shard 3", s, ok)
 	}
-	if _, _, ok := lt.take(); ok {
+	if _, ok := lt.take(); ok {
 		t.Fatal("take succeeded with every shard handed out")
 	}
 	if st := lt.state(); st.Expired != 1 || st.Leased != 1 || st.Workers != 2 {
@@ -208,9 +208,14 @@ func TestLocalFoldHoldsNoLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	taken := func() bool { // the local worker has taken the shard
+		j.leases.mu.Lock()
+		defer j.leases.mu.Unlock()
+		return j.leases.next > 0
+	}
 	execErr := make(chan error, 1)
 	go func() { execErr <- j.Execute() }()
-	for j.runsDone.Load() == 0 {
+	for !taken() {
 		runtime.Gosched()
 	}
 	clk.advance(11 * time.Second)
@@ -219,11 +224,11 @@ func TestLocalFoldHoldsNoLease(t *testing.T) {
 		<-execErr
 		t.Fatalf("remote worker granted shard %d while a local worker folds it", g.Shard)
 	}
-	mid := j.runsDone.Load()
+	mid := j.leases.state()
 	if err := <-execErr; err != nil {
 		t.Fatal(err)
 	}
-	if mid == j.g.total { // ~4 µs a run: the probe lands within the first few hundred
+	if mid.Done != 0 { // ~4 µs a run: the probe lands within the first few hundred
 		t.Fatal("the fold finished before the lease was probed")
 	}
 	p := j.Progress()
@@ -235,25 +240,23 @@ func TestLocalFoldHoldsNoLease(t *testing.T) {
 	}
 }
 
-// TestLateRemoteCompletionStopsLocalFold plays a remote worker whose
-// lease expires: the campaign's only shard goes back to the local
-// worker, and the remote worker's completion lands after the local fold
-// has begun. First write wins, so the local fold must stop rather than
-// fold the shard again, and the job ends done with every run counted
-// once.
-func TestLateRemoteCompletionStopsLocalFold(t *testing.T) {
+// TestLateRemoteCompletionCountsOnce plays a remote worker whose lease
+// expires: the campaign's only shard goes back to the local worker, and
+// the remote worker's completion lands after the local fold has begun.
+// First write wins, so the remote completion is accepted, the local
+// fold's completion is dropped as a duplicate, and the job ends done
+// with every run counted once.
+func TestLateRemoteCompletionCountsOnce(t *testing.T) {
 	spec := oneCellSpec(1, 20000)
 	spec.ShardSize = 20000
 	ref, err := New(spec, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ref.exec.foldShard(0, nil, nil, nil)
+	rep, err := ref.exec.foldShard(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, hits := ref.exec.counterDelta()
-	rep := shardReport{shard: 0, runs: 20000, simulated: sim, diskHits: hits, agg: a}
 
 	clk := newFakeClock()
 	j, err := New(spec, Options{Jobs: 1, LeaseTTL: 10 * time.Second, now: clk.now})
@@ -266,7 +269,8 @@ func TestLateRemoteCompletionStopsLocalFold(t *testing.T) {
 	clk.advance(11 * time.Second)
 	execErr := make(chan error, 1)
 	go func() { execErr <- j.Execute() }()
-	for j.runsDone.Load() == 0 {
+	// The local worker's take reaps the expired lease and folds the shard.
+	for j.leases.state().Leased != 0 {
 		runtime.Gosched()
 	}
 	if dup, gone := j.CompleteShard(rep); dup || gone {
@@ -278,11 +282,14 @@ func TestLateRemoteCompletionStopsLocalFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := j.Progress()
-	if p.Status != StatusDone || p.RunsDone != p.TotalRuns {
-		t.Fatalf("status %s with %d of %d runs done", p.Status, p.RunsDone, p.TotalRuns)
+	if p.Status != StatusDone || p.RunsDone != p.TotalRuns || p.RemoteRuns != p.TotalRuns {
+		t.Fatalf("status %s with %d of %d runs done, %d remote", p.Status, p.RunsDone, p.TotalRuns, p.RemoteRuns)
 	}
-	if local := j.exec.simulated.Load(); local >= 20000 {
-		t.Fatalf("the local fold simulated %d runs of a shard already completed remotely", local)
+	if p.Simulated+p.DiskHits != p.RunsDone {
+		t.Fatalf("%d simulated and %d disk hits of %d runs done", p.Simulated, p.DiskHits, p.RunsDone)
+	}
+	if p.Leases.Duplicates != 1 {
+		t.Fatalf("lease state %+v: want the local fold's completion dropped as the one duplicate", p.Leases)
 	}
 	if got, err := p.Aggregates.MarshalCanonical(); err != nil || !bytes.Equal(got, runToBytes(t, spec, Options{Jobs: 1})) {
 		t.Fatalf("aggregates differ from the -j 1 reference (err %v)", err)
@@ -305,12 +312,11 @@ func TestShardCodecRoundTrip(t *testing.T) {
 	e := j.exec
 	var payloads [][]byte
 	for s := uint64(0); s < e.nShards(); s++ {
-		a, err := e.foldShard(s, nil, nil, nil)
+		rep, err := e.foldShard(s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := e.shardRange(s)
-		payloads = append(payloads, encodeShardAgg(scenario.KeyVersion, digest, s, hi-lo, 7, 3, a))
+		payloads = append(payloads, encodeShardAgg(scenario.KeyVersion, digest, s, rep.runs, 7, 3, rep.agg))
 	}
 
 	// Decoding the wire forms and completing them in reverse order
@@ -387,13 +393,12 @@ func remoteLoop(t *testing.T, j *Job, name string, done <-chan struct{}) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		a, err := e.foldShard(grant.Shard, nil, nil, nil)
+		folded, err := e.foldShard(grant.Shard, nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		sim, hits := e.counterDelta()
-		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, grant.Shard, grant.Hi-grant.Lo, sim, hits, a), g2.cells())
+		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, folded.shard, folded.runs, folded.simulated, folded.diskHits, folded.agg), g2.cells())
 		if err != nil {
 			t.Error(err)
 			return
@@ -458,8 +463,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 
 // A Progress that says done counts every run, even one snapshotted
 // while the last remote shard lands: pollers race the only completion
-// of many one-shard campaigns. A summary that loads the counters before
-// it reads the status fails here about one run in two.
+// of many one-shard campaigns.
 func TestDoneProgressCountsEveryRun(t *testing.T) {
 	spec := smallSpec()
 	spec.ShardSize = 20 // the whole grid in one shard
@@ -467,12 +471,10 @@ func TestDoneProgressCountsEveryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ref.exec.foldShard(0, nil, nil, nil)
+	rep, err := ref.exec.foldShard(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, hits := ref.exec.counterDelta()
-	rep := shardReport{shard: 0, runs: 20, simulated: sim, diskHits: hits, agg: a}
 	const pollers = 8
 	for k := 0; k < 2000; k++ {
 		j, err := New(spec, Options{Jobs: 1, noLocalExec: true})
@@ -504,7 +506,8 @@ func TestDoneProgressCountsEveryRun(t *testing.T) {
 		}
 		for w := 0; w < pollers; w++ {
 			p := <-polled
-			if p.Status != StatusDone || p.RunsDone != p.TotalRuns || p.RemoteRuns != p.TotalRuns || p.Simulated != sim {
+			if p.Status != StatusDone || p.RunsDone != p.TotalRuns || p.RemoteRuns != p.TotalRuns ||
+				p.Simulated != rep.simulated || p.DiskHits != rep.diskHits {
 				t.Fatalf("campaign %d: polled %+v, want done with all %d runs counted", k, p, p.TotalRuns)
 			}
 		}
@@ -735,14 +738,15 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil, nil)
+	rep, err := j.exec.foldShard(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := rep.agg
 	jspec := j.Spec()
 	digest, _ := jspec.Digest()
 	lo, hi := j.exec.shardRange(0)
-	payload := encodeShardAgg(scenario.KeyVersion, digest, 0, hi-lo, 0, 0, a)
+	payload := encodeShardAgg(scenario.KeyVersion, digest, 0, rep.runs, rep.simulated, rep.diskHits, a)
 	if code := post("/campaigns/"+p.ID+"/shards/0", payload); code != http.StatusGone {
 		t.Fatalf("completion on done campaign = %d, want 410", code)
 	}
@@ -751,7 +755,7 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	// the campaign's state is consulted.
 	moved := newAgg(j.g.cells())
 	for i := lo; i < hi; i++ {
-		res, err := j.exec.oneRun(i, nil)
+		res, _, err := j.exec.oneRun(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -798,7 +802,7 @@ func TestServerShardEndpointValidation(t *testing.T) {
 		{"energy mean < min", moments(energy, func(mean, _, mn, _ *float64) { *mean = *mn - 1 })},
 		{"time mean > max", moments(dltime, func(mean, _, _, mx *float64) { *mean = *mx + 1 })},
 	} {
-		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(scenario.KeyVersion, digest, 0, hi-lo, 0, 0, bad.agg)); code != http.StatusBadRequest {
+		if code := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(scenario.KeyVersion, digest, 0, rep.runs, rep.simulated, rep.diskHits, bad.agg)); code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", bad.name, code)
 		}
 	}
@@ -809,6 +813,68 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	}
 	if code := post("/campaigns/"+p.ID+"/shards/0/renew", nil); code != http.StatusGone {
 		t.Fatalf("renew on done campaign = %d, want 410", code)
+	}
+}
+
+// A shard frame's simulated and disk-hit counts must split its runs.
+// Before, handleShard added them unchecked: a 20-run frame claiming
+// 2^64−1 simulated runs was accepted, and the done campaign reported a
+// hit rate of −9.2e17. The coordinator simulates nothing itself, so
+// only the honest frame can finish the campaign.
+func TestServerShardRefusesImpossibleCounts(t *testing.T) {
+	spec := smallSpec()
+	spec.ShardSize = 20 // the whole grid in one shard
+	srv := NewServerOpts(Options{Jobs: 1, noLocalExec: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, p := postSpec(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	j, err := New(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := j.exec.foldShard(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jspec := j.Spec()
+	digest, err := jspec.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(sim, hits uint64) int {
+		frame := encodeShardAgg(scenario.KeyVersion, digest, 0, rep.runs, sim, hits, rep.agg)
+		resp, err := http.Post(ts.URL+"/campaigns/"+p.ID+"/shards/0", "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	if rep.runs != 20 {
+		t.Fatalf("shard 0 has %d runs, want 20", rep.runs)
+	}
+	srv.mu.Lock()
+	job := srv.byID[p.ID]
+	srv.mu.Unlock()
+	for !job.running() { // so a frame the checks let through would merge
+		runtime.Gosched()
+	}
+	for _, c := range []struct{ sim, hits uint64 }{{math.MaxUint64, 0}, {math.MaxUint64, 21}, {0, 0}, {20, 1}} {
+		if code := post(c.sim, c.hits); code != http.StatusBadRequest {
+			t.Errorf("frame counting %d simulated and %d disk hits of 20 runs = %d, want 400", c.sim, c.hits, code)
+		}
+	}
+	if code := post(rep.simulated, rep.diskHits); code != http.StatusOK {
+		t.Fatalf("honest frame = %d, want 200", code)
+	}
+	fin := waitDone(t, ts, p.ID)
+	if fin.Status != StatusDone || fin.Simulated+fin.DiskHits != fin.RunsDone || fin.Simulated != rep.simulated {
+		t.Fatalf("done campaign %+v: want %d simulated and %d disk hits of %d runs", fin, rep.simulated, rep.diskHits, fin.RunsDone)
 	}
 }
 
@@ -841,14 +907,13 @@ func TestServerShardModelVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil, nil)
+	rep, err := j.exec.foldShard(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jspec := j.Spec()
 	digest, _ := jspec.Digest()
-	lo, hi := j.exec.shardRange(0)
-	code, body := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(byte(other), digest, 0, hi-lo, 0, 0, a))
+	code, body := post("/campaigns/"+p.ID+"/shards/0", encodeShardAgg(byte(other), digest, 0, rep.runs, rep.simulated, rep.diskHits, rep.agg))
 	if code != http.StatusConflict {
 		t.Fatalf("frame from model version %d = %d, want 409 (%s)", other, code, body)
 	}
@@ -1021,12 +1086,11 @@ func TestHonestShardsPassValidation(t *testing.T) {
 	jspec := j.Spec()
 	digest, _ := jspec.Digest()
 	for s := uint64(0); s < j.exec.nShards(); s++ {
-		a, err := j.exec.foldShard(s, nil, nil, nil)
+		folded, err := j.exec.foldShard(s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := j.exec.shardRange(s)
-		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, s, hi-lo, 0, 0, a), j.g.cells())
+		rep, err := decodeShardAgg(encodeShardAgg(scenario.KeyVersion, digest, s, folded.runs, folded.simulated, folded.diskHits, folded.agg), j.g.cells())
 		if err != nil {
 			t.Fatal(err)
 		}

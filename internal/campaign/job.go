@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/runcache"
@@ -48,7 +47,9 @@ type Options struct {
 }
 
 // Progress is a point-in-time snapshot of a job, JSON-shaped for the
-// HTTP status endpoint.
+// HTTP status endpoint. Its run counts cover the accepted shard
+// completions, local and remote, so RunsDone moves a shard at a time
+// and Simulated + DiskHits = RunsDone.
 type Progress struct {
 	ID        string `json:"id"`
 	Name      string `json:"name,omitempty"`
@@ -94,28 +95,6 @@ type executor struct {
 	keyOnce sync.Once
 	keys    []runcache.Key
 	base    uint64
-
-	simulated atomic.Uint64
-	diskHits  atomic.Uint64
-
-	// reported-counter cursors for per-shard completion reports; see
-	// counterDelta.
-	reportMu        sync.Mutex
-	repSim, repHits uint64
-}
-
-// counterDelta returns how much simulated/diskHits grew since the last
-// call. Per-shard completion reports carry these deltas, so their sum
-// equals the executor's lifetime totals exactly — even when shards fold
-// concurrently (attribution to a particular shard is then approximate,
-// but the counters are informational, never part of the merge).
-func (e *executor) counterDelta() (sim, hits uint64) {
-	e.reportMu.Lock()
-	defer e.reportMu.Unlock()
-	s, h := e.simulated.Load(), e.diskHits.Load()
-	sim, hits = s-e.repSim, h-e.repHits
-	e.repSim, e.repHits = s, h
-	return
 }
 
 func newExecutor(g *grid, disk *runcache.Store) *executor {
@@ -178,64 +157,64 @@ func (e *executor) keyAt(i uint64) runcache.Key {
 // in index order, reading the store through rd: a Reader of e.disk that
 // the calling worker keeps for every shard it folds, so a replay holds
 // one read-ahead block per worker rather than allocating one per shard.
-// onRun fires after each folded run (progress accounting); stop is
-// polled between runs and, when it fires, foldShard returns (nil, nil)
-// — complete nothing. A panic anywhere in a run or in the key memo's
-// fill (an engine bug) converts to an error rather than crashing the
-// process.
-func (e *executor) foldShard(s uint64, rd *runcache.Reader, stop func() bool, onRun func()) (a *agg, err error) {
+// The report carries the aggregate, the shard's run count and how many
+// of those runs were simulated and how many read from the store. stop
+// is polled between runs and, when it fires, foldShard returns a report
+// with a nil aggregate — complete nothing. A panic anywhere in a run or
+// in the key memo's fill (an engine bug) converts to an error rather
+// than crashing the process.
+func (e *executor) foldShard(s uint64, rd *runcache.Reader, stop func() bool) (rep shardReport, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
-			a, err = nil, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
+			rep, err = shardReport{}, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
 		}
 	}()
 	e.memoizeKeys()
 	lo, hi := e.shardRange(s)
-	a = newAgg(e.g.cells())
+	a := newAgg(e.g.cells())
+	var hits uint64
 	for i := lo; i < hi; i++ {
 		if stop != nil && stop() {
-			return nil, nil
+			return shardReport{}, nil
 		}
-		res, err := e.oneRun(i, rd)
+		res, hit, err := e.oneRun(i, rd)
 		if err != nil {
-			return nil, err
+			return shardReport{}, err
+		}
+		if hit {
+			hits++
 		}
 		a.add(e.g.cellAt(i), &res)
-		if onRun != nil {
-			onRun()
-		}
 	}
-	return a, nil
+	return shardReport{shard: s, runs: hi - lo, simulated: hi - lo - hits, diskHits: hits, agg: a}, nil
 }
 
-// oneRun produces run i's result: a disk hit read through rd, or a
-// fresh simulation stored before returning. On the replay path a run is
-// one RunKey hash (or a memo read), a read from rd's block, and a
-// decode. Replicas dedupe through the store alone: a replica folded
-// while its original is still simulating elsewhere simulates again, to
-// identical bytes, and its Put is a no-op.
-func (e *executor) oneRun(i uint64, rd *runcache.Reader) (scenario.Result, error) {
+// oneRun produces run i's result: a disk hit read through rd (hit is
+// true), or a fresh simulation stored before returning. On the replay
+// path a run is one RunKey hash (or a memo read), a read from rd's
+// block, and a decode. Replicas dedupe through the store alone: a
+// replica folded while its original is still simulating elsewhere
+// simulates again, to identical bytes, and its Put is a no-op.
+func (e *executor) oneRun(i uint64, rd *runcache.Reader) (r scenario.Result, hit bool, err error) {
 	key := e.keyAt(i)
 	b, hit, err := rd.Get(key)
 	if err != nil {
-		return scenario.Result{}, err
+		return scenario.Result{}, false, err
 	}
 	if hit {
 		if r, err := decodeResult(b); err == nil {
-			e.diskHits.Add(1)
-			return r, nil
+			return r, true, nil
 		}
 		// Version/layout mismatch: treat as a miss and re-simulate.
 		// Put below is a first-write-wins no-op, so the stale record
 		// stays until a cache rebuild.
 	}
 	sc, proto, seed, _ := e.g.runAt(i)
-	e.simulated.Add(1)
-	r := scenario.Run(sc, proto, scenario.Opts{Seed: seed})
+	r = scenario.Run(sc, proto, scenario.Opts{Seed: seed})
 	if e.disk != nil {
 		err = e.disk.Put(key, encodeResult(r))
 	}
-	return r, err
+	return r, false, err
 }
 
 // Job executes one campaign: a sharded sweep of the spec's run grid
@@ -253,11 +232,6 @@ type Job struct {
 
 	leases *leaseTable
 
-	runsDone   atomic.Uint64
-	remoteRuns atomic.Uint64
-	remoteSim  atomic.Uint64
-	remoteHits atomic.Uint64
-
 	cancelCh   chan struct{}
 	cancelOnce sync.Once
 
@@ -265,6 +239,8 @@ type Job struct {
 	status Status
 	err    error
 	result []byte // canonical aggregate bytes, set on done
+	// The run counts of the accepted shard completions; see complete.
+	runsDone, simulated, diskHits, remoteRuns uint64
 }
 
 // New compiles the spec into a runnable job. The spec is validated and
@@ -407,16 +383,16 @@ func (j *Job) recoverPanic() {
 // fold it, complete it, repeat — waiting out windows where every
 // remaining shard is leased to someone else (a remote worker may die
 // and its lease expire back to us). A taken shard holds no lease, so no
-// TTL can hand it to a remote worker mid-fold. A fold stops early on
-// cancellation, after which nothing takes or leases again, or when the
-// shard completes elsewhere: a remote worker whose lease expired before
-// the shard came here may still complete it first. The runs such a fold
-// counted come off runsDone before the worker moves on, and so before
-// Execute settles.
+// TTL can hand it to a remote worker mid-fold. A fold stops early only
+// on cancellation, after which nothing takes or leases again. A remote
+// worker whose lease expired before the shard came here may still
+// complete it first: the local fold then finishes and its completion is
+// dropped as a duplicate, so every run counts once at the cost of at
+// most the one shard the expired lease covered.
 func (j *Job) localWorker() {
 	rd := j.opts.Disk.NewReader()
 	for !j.cancelled() {
-		s, done, ok := j.leases.take()
+		s, ok := j.leases.take()
 		if !ok {
 			select {
 			case <-j.cancelCh:
@@ -427,19 +403,13 @@ func (j *Job) localWorker() {
 			}
 			continue
 		}
-		var counted uint64
-		a, err := j.exec.foldShard(s, rd,
-			func() bool { return done.Load() || j.cancelled() },
-			func() { counted++; j.runsDone.Add(1) })
+		rep, err := j.exec.foldShard(s, rd, j.cancelled)
 		if err != nil {
 			j.fail(err)
 			return
 		}
-		if a == nil && !done.Load() { // cancelled mid-shard
-			return
-		}
-		if a == nil || j.leases.complete(s, a) { // completed elsewhere
-			j.runsDone.Add(-counted)
+		if rep.agg != nil { // nil: stopped on cancellation, so the loop ends
+			j.complete(rep, false)
 		}
 	}
 }
@@ -493,14 +463,22 @@ func (j *Job) RenewLease(shard uint64, token string) bool {
 	return j.leases.renew(shard, token)
 }
 
-// CompleteShard folds a remotely-computed shard aggregate into the
-// campaign. The first completion of a shard wins — regardless of lease
-// state, since the bytes are a pure function of the spec — and every
-// later one reports dup=true and is dropped. gone is true when the job
-// no longer accepts results. It holds mu throughout, so Execute, which
-// settles the terminal state under mu, never publishes it between the
-// last shard's merge and its run counts.
+// CompleteShard completes a shard a remote worker folded. The first
+// completion of a shard wins — regardless of lease state, since the
+// bytes are a pure function of the spec — and every later one reports
+// dup=true and is dropped. gone is true when the job no longer accepts
+// results.
 func (j *Job) CompleteShard(rep shardReport) (dup, gone bool) {
+	return j.complete(rep, true)
+}
+
+// complete is the one path by which a shard report, local or remote,
+// reaches the job: it merges the aggregate first-write-wins through the
+// lease table and, only when the merge is accepted, adds the counts. It
+// holds mu throughout, so neither Execute's terminal state nor a
+// summary lands between a shard's merge and its counts. A cancelled job
+// takes nothing more: its resume state is the store, not its snapshot.
+func (j *Job) complete(rep shardReport, remote bool) (dup, gone bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != StatusRunning || j.cancelled() {
@@ -509,11 +487,12 @@ func (j *Job) CompleteShard(rep shardReport) (dup, gone bool) {
 	if j.leases.complete(rep.shard, rep.agg) {
 		return true, false
 	}
-	lo, hi := j.exec.shardRange(rep.shard)
-	j.runsDone.Add(hi - lo)
-	j.remoteRuns.Add(hi - lo)
-	j.remoteSim.Add(rep.simulated)
-	j.remoteHits.Add(rep.diskHits)
+	j.runsDone += rep.runs
+	j.simulated += rep.simulated
+	j.diskHits += rep.diskHits
+	if remote {
+		j.remoteRuns += rep.runs
+	}
 	return false, false
 }
 
@@ -527,26 +506,20 @@ func (j *Job) Progress() Progress {
 	return p
 }
 
-// summary is Progress without the aggregate snapshot: counters, status
-// and lease state, with no digest or distribution computed. It reads
-// the status before the counters: a local run is counted before its
-// shard completes and a remote shard's runs under mu, both before
-// Execute settles the status under mu, so a summary that says done
-// carries the final counts.
+// summary is Progress without the aggregate snapshot: status, run
+// counts and lease state read together under mu, with no digest or
+// distribution computed. Every count lands under mu with its shard's
+// merge, and Execute settles the status under mu once its local workers
+// have returned, so a summary that says done counts every run.
 func (j *Job) summary() Progress {
-	p := Progress{ID: j.id, Name: j.g.spec.Name, TotalRuns: j.g.total}
 	j.mu.Lock()
-	p.Status = j.status
+	defer j.mu.Unlock()
+	ls := j.leases.state()
+	p := Progress{ID: j.id, Name: j.g.spec.Name, Status: j.status, TotalRuns: j.g.total, Leases: &ls,
+		RunsDone: j.runsDone, Simulated: j.simulated, DiskHits: j.diskHits, RemoteRuns: j.remoteRuns}
 	if j.err != nil {
 		p.Error = j.err.Error()
 	}
-	j.mu.Unlock()
-	ls := j.leases.state()
-	p.RunsDone = j.runsDone.Load()
-	p.Simulated = j.exec.simulated.Load() + j.remoteSim.Load()
-	p.DiskHits = j.exec.diskHits.Load() + j.remoteHits.Load()
-	p.RemoteRuns = j.remoteRuns.Load()
-	p.Leases = &ls
 	if p.RunsDone > 0 {
 		p.HitRate = 1 - float64(p.Simulated)/float64(p.RunsDone)
 	}
@@ -559,11 +532,4 @@ func (j *Job) Result() (b []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.status == StatusDone
-}
-
-// Err returns the job's terminal error, if any.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }

@@ -172,13 +172,14 @@ const maxSpecBody = 1 << 20
 
 // handleSubmit accepts a Spec and queues it. Idempotent by digest: a
 // queued/running/done job with the same digest is returned as-is; a
-// failed or cancelled one is replaced by a fresh job, which resumes
-// from whatever the previous attempt persisted. A submission whose
-// 64-bit ID matches an existing campaign but whose normalised spec
-// differs is a digest collision — rejected with 422 rather than
-// silently coalescing two different campaigns into one result. A job
-// is registered only once the queue has taken it, so a 503 for a full
-// queue leaves nothing behind.
+// failed or cancelled one, or one whose cancel is still pending (a
+// queued job reports queued until dispatch reaches it), is replaced by
+// a fresh job, which resumes from whatever the previous attempt
+// persisted. A submission whose 64-bit ID matches an existing campaign
+// but whose normalised spec differs is a digest collision — rejected
+// with 422 rather than silently coalescing two different campaigns into
+// one result. A job is registered only once the queue has taken it, so
+// a 503 for a full queue leaves nothing behind.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {
@@ -208,8 +209,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("campaign: spec digest collision: id %s already names a different campaign", job.ID()))
 			return
 		}
-		st := prev.summary().Status
-		if st != StatusFailed && st != StatusCancelled {
+		if prev.summary().Status == StatusDone || !prev.cancelled() {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, prev.Progress())
 			return
@@ -352,9 +352,10 @@ const maxShardBody = 64 << 20
 // payload is validated structurally (crc, magic, codec version, cell
 // count), then for its model version (409 when it is not this build's
 // scenario.KeyVersion), then against the campaign (digest, shard index
-// vs URL, run counts and moments per cell) before the first-write-wins
-// merge. Duplicates are acknowledged as such — the worker did nothing
-// wrong, someone else was just faster.
+// vs URL, the shard's run count and its split into simulated runs and
+// disk hits, run counts and moments per cell) before the
+// first-write-wins merge. Duplicates are acknowledged as such — the
+// worker did nothing wrong, someone else was just faster.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -395,6 +396,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	if lo, hi := j.exec.shardRange(shard); shard >= j.exec.nShards() || rep.runs != hi-lo {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: shard %d claims %d runs", shard, rep.runs))
+		return
+	}
+	if rep.simulated > rep.runs || rep.diskHits != rep.runs-rep.simulated {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: shard %d counts %d simulated and %d disk hits of %d runs", shard, rep.simulated, rep.diskHits, rep.runs))
 		return
 	}
 	if err := j.exec.checkShard(shard, rep.agg); err != nil {

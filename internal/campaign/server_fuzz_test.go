@@ -49,11 +49,12 @@ var (
 // a lease, and one arbitrary request: any method on the submit, status,
 // spec, result, cancel, lease, shard, renew or stats route, with an
 // arbitrary id (empty means the submitted campaign's), shard segment,
-// query and body, carrying the lease's token. The coordinator simulates nothing itself, so shards merge only
-// through the handler. Nothing may panic in any goroutine, no answer
-// may be a 5xx, every accepted campaign must be in a terminal state
-// once the server closes, and each accepted job's fixed memory must fit
-// fixedMemoryBudget.
+// query and body, carrying the lease's token. The coordinator simulates
+// nothing itself, so shards merge only through the handler. Nothing may
+// panic in any goroutine, no answer may be a 5xx, every accepted
+// campaign must be in a terminal state once the server closes with
+// Simulated + DiskHits = RunsDone ≤ TotalRuns, and each accepted job's
+// fixed memory must fit fixedMemoryBudget.
 func FuzzServerHandler(f *testing.F) {
 	small, err := json.Marshal(smallSpec())
 	if err != nil {
@@ -71,7 +72,7 @@ func FuzzServerHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	a, err := j.exec.foldShard(0, nil, nil, nil)
+	rep, err := j.exec.foldShard(0, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func FuzzServerHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame := encodeShardAgg(scenario.KeyVersion, digest, 0, 20, 0, 0, a)
+	frame := encodeShardAgg(scenario.KeyVersion, digest, 0, rep.runs, rep.simulated, rep.diskHits, rep.agg)
 	huge, err := json.Marshal(oneCellSpec(2, 1<<46))
 	if err != nil {
 		f.Fatal(err)
@@ -165,10 +166,15 @@ func FuzzServerHandler(f *testing.F) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		for _, id := range accepted {
-			switch st := srv.byID[id].summary().Status; st {
+			p := srv.byID[id].summary()
+			switch p.Status {
 			case StatusDone, StatusFailed, StatusCancelled:
 			default:
-				t.Fatalf("campaign %s is %s after Close", id, st)
+				t.Fatalf("campaign %s is %s after Close", id, p.Status)
+			}
+			if p.Simulated+p.DiskHits != p.RunsDone || p.RunsDone > p.TotalRuns {
+				t.Fatalf("campaign %s counts %d simulated and %d disk hits of %d runs done, %d total",
+					id, p.Simulated, p.DiskHits, p.RunsDone, p.TotalRuns)
 			}
 		}
 	})

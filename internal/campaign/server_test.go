@@ -386,6 +386,45 @@ func TestPanicFailsJobNotProcess(t *testing.T) {
 	}
 }
 
+// A campaign cancelled while it waits in the queue reports queued until
+// dispatch reaches it, but its cancel is final: resubmitting it starts
+// a fresh job, which runs to done, instead of answering 200 with the
+// doomed one.
+func TestServerResubmitAfterPendingCancel(t *testing.T) {
+	srv := NewServerOpts(Options{Jobs: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, long := postSpec(t, ts, oneCellSpec(1, 1<<30)) // runs until cancelled
+	if code != http.StatusAccepted {
+		t.Fatalf("submit long = %d", code)
+	}
+	code, small := postSpec(t, ts, smallSpec())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit small = %d", code)
+	}
+	cancel := func(id string) {
+		resp, err := http.Post(ts.URL+"/campaigns/"+id+"/cancel", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cancel %s = %d", id, resp.StatusCode)
+		}
+	}
+	cancel(small.ID)
+	code, again := postSpec(t, ts, smallSpec())
+	if code != http.StatusAccepted || again.ID != small.ID || again.Status != StatusQueued {
+		t.Fatalf("resubmit after a pending cancel = %d %+v, want 202 and a fresh queued job", code, again)
+	}
+	cancel(long.ID)
+	if fin := waitDone(t, ts, small.ID); fin.Status != StatusDone {
+		t.Fatalf("resubmitted campaign ended %s (%s), want done", fin.Status, fin.Error)
+	}
+}
+
 // A submit body past maxSpecBody is refused with 413.
 func TestServerSubmitBodyLimit(t *testing.T) {
 	srv := NewServerOpts(Options{Jobs: 1})

@@ -38,9 +38,11 @@ const (
 	shardHeaderSize = 4 + 1 + 1 + 32 + 8 + 8 + 8 + 8 + 4
 )
 
-// shardReport is a decoded shard completion: the aggregate plus the
-// worker's execution counters (informational — they feed Progress, not
-// the merge).
+// shardReport is one shard's completion: what executor.foldShard
+// produces, a shard frame carries and Job.complete consumes. Of its
+// runs, simulated were run by an engine and diskHits read from a store;
+// the counts feed Progress, not the merge. model and digest are set on
+// frames only.
 type shardReport struct {
 	model     byte // the worker's scenario.KeyVersion
 	digest    [32]byte

@@ -261,7 +261,8 @@ func (w *Worker) lease(ctx context.Context) (g LeaseGrant, ok bool, err error) {
 }
 
 // executeShard folds the leased shard locally through rd, heartbeating
-// the lease at TTL/3, and posts the aggregate. A lost lease
+// the lease at TTL/3, and posts the fold's report: the aggregate with
+// its run, simulation and disk-hit counts. A lost lease
 // (coordinator says 410 on renew) aborts the fold — the shard was
 // reassigned, finishing it would only produce a duplicate.
 func (w *Worker) executeShard(ctx context.Context, g LeaseGrant, rd *runcache.Reader) error {
@@ -299,15 +300,13 @@ func (w *Worker) executeShard(ctx context.Context, g LeaseGrant, rd *runcache.Re
 		}
 	}()
 
-	a, err := e.foldShard(g.Shard, rd,
-		func() bool { return ctx.Err() != nil || lost.Load() },
-		nil)
+	rep, err := e.foldShard(g.Shard, rd, func() bool { return ctx.Err() != nil || lost.Load() })
 	stopHB()
 	hbWG.Wait()
 	if err != nil {
 		return err
 	}
-	if a == nil { // aborted: ctx cancelled or lease lost
+	if rep.agg == nil { // aborted: ctx cancelled or lease lost
 		if lost.Load() {
 			w.LeasesLost.Add(1)
 			w.logf("worker: lost lease on %s shard %d, abandoning", id, g.Shard)
@@ -320,8 +319,7 @@ func (w *Worker) executeShard(ctx context.Context, g LeaseGrant, rd *runcache.Re
 	if err != nil {
 		return err
 	}
-	sim, hits := e.counterDelta()
-	body := encodeShardAgg(byte(w.opts.modelVersion), digest, g.Shard, g.Hi-g.Lo, sim, hits, a)
+	body := encodeShardAgg(byte(w.opts.modelVersion), digest, rep.shard, rep.runs, rep.simulated, rep.diskHits, rep.agg)
 	return w.postShard(ctx, id, g, body)
 }
 
