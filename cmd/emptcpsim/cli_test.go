@@ -73,12 +73,14 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		args []string
+		name   string
+		args   []string
+		stderr string // a substring stderr must hold
 	}{
-		{"campaign missing spec file", []string{"campaign", filepath.Join(t.TempDir(), "no-such-spec.json")}},
-		{"campaign malformed spec", []string{"campaign", "-"}}, // stdin is empty/invalid under go test
-		{"campaign bad cachedir", []string{"campaign", "-cachedir", filepath.Join(notADir, "sub"), "-population", "1", "wild"}},
+		{"campaign missing spec file", []string{"campaign", filepath.Join(t.TempDir(), "no-such-spec.json")}, ""},
+		{"campaign malformed spec", []string{"campaign", "-"}, ""}, // stdin is empty/invalid under go test
+		{"campaign bad cachedir", []string{"campaign", "-cachedir", filepath.Join(notADir, "sub"), "-population", "1", "wild"}, ""},
+		{"campaign NaN size", []string{"campaign", "-j", "1", "-size", "NaN", "-population", "1", "wild"}, "size NaNMB out of range (0, 4096]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb strings.Builder
@@ -88,6 +90,9 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 			}
 			if out.Len() != 0 {
 				t.Errorf("%v: stdout not empty:\n%s", tc.args, out.String())
+			}
+			if !strings.Contains(errb.String(), tc.stderr) {
+				t.Errorf("%v: stderr %q, want it to hold %q", tc.args, errb.String(), tc.stderr)
 			}
 		})
 	}

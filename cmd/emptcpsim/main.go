@@ -225,8 +225,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		// Stats go to stderr so stdout stays byte-identical for goldens.
-		hits, misses, waits := cfg.Cache.FlightStats()
-		fmt.Fprintf(stderr, "runcache: %d hits, %d misses, %d single-flight waits\n", hits, misses, waits)
+		hits, misses, dups := cfg.Cache.FlightStats()
+		fmt.Fprintf(stderr, "runcache: %d hits, %d misses, %d duplicate simulations\n", hits, misses, dups)
 	}
 	return 0
 }

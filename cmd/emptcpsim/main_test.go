@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,23 @@ func TestRunAllQuick(t *testing.T) {
 		if !strings.Contains(out.String(), id) {
 			t.Errorf("all-run missing %q", id)
 		}
+	}
+}
+
+// TestVerboseRunCacheLine pins the shape of the -v run-cache line. At
+// -j 1 no two runs of one key overlap, so none is a duplicate, and the
+// suite's shared baselines make some runs hits.
+func TestVerboseRunCacheLine(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-quick", "-j", "1", "-v", "all"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	m := regexp.MustCompile(`^runcache: ([0-9]+) hits, ([0-9]+) misses, ([0-9]+) duplicate simulations\n$`).FindStringSubmatch(errb.String())
+	if m == nil {
+		t.Fatalf("stderr %q is not one run-cache line", errb.String())
+	}
+	if m[1] == "0" || m[3] != "0" {
+		t.Errorf("-j 1 reported %s hits and %s duplicate simulations, want some hits and 0 duplicates", m[1], m[3])
 	}
 }
 

@@ -99,6 +99,9 @@ func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 		{Locations: []string{"nyc"}, Seeds: SeedRange{Count: 1}},
 		{Protocols: []string{"quic"}, Seeds: SeedRange{Count: 1}},
 		{SizesMB: []float64{-1}, Seeds: SeedRange{Count: 1}},
+		// NaN failed every comparison, so it passed the range check and
+		// surfaced later as a JSON error from Digest.
+		{SizesMB: []float64{math.NaN()}, Seeds: SeedRange{Count: 1}},
 		{Replicate: -3, Seeds: SeedRange{Count: 1}},
 		{ShardSize: -1, Seeds: SeedRange{Count: 1}},
 		// 2^64 runs: the product wrapped to 0, and the job published an

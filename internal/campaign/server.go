@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -20,7 +21,10 @@ import (
 // fetch canonical aggregates, and cancel. Campaigns are identified by
 // spec digest, so submission is idempotent: re-posting a spec attaches
 // to the existing job (or, after a failure or cancellation, starts a
-// fresh one that resumes from the disk cache).
+// fresh one that resumes from the disk cache). The server remembers
+// every queued and running campaign but only the maxFinished most
+// recently finished ones: an older id answers 404, and resubmitting its
+// spec starts a fresh job that replays from the disk cache.
 //
 // The server is also the distributed coordinator: remote `emptcpsim
 // worker` processes lease shards of the running campaign, execute them
@@ -45,13 +49,14 @@ type Server struct {
 	opts  Options
 	token string // optional bearer token; empty = open
 
-	mu      sync.Mutex
-	byID    map[string]*Job
-	order   []string // submission order, for stable listings
-	running *Job     // the job dispatch started last; remote workers lease from it
-	queue   chan *Job
-	closed  bool
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	byID     map[string]*Job
+	order    []string // submission order, for stable listings
+	running  *Job     // the job dispatch started last; remote workers lease from it
+	finished []*Job   // jobs dispatch saw end, oldest first; at most maxFinished
+	queue    chan *Job
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // NewServerOpts builds a server executing campaigns one at a time
@@ -75,6 +80,11 @@ func NewServerOpts(opts Options) *Server {
 // server open (the default, for localhost use).
 func (s *Server) SetAuthToken(token string) { s.token = token }
 
+// maxFinished bounds how many finished (done, failed or cancelled)
+// campaigns the server remembers. Each keeps its compiled grid and
+// running totals, ~0.5 MB at the largest valid spec.
+const maxFinished = 32
+
 // dispatch runs queued jobs sequentially. Sequential execution keeps
 // the memory envelope at one campaign's worth and makes progress
 // reporting honest (a queued campaign reports queued, not starved).
@@ -85,6 +95,24 @@ func (s *Server) dispatch() {
 		s.running = job
 		s.mu.Unlock()
 		job.Execute() // terminal state and error live on the job
+		s.retire(job)
+	}
+}
+
+// retire records that job ended and forgets the oldest finished job
+// beyond maxFinished, unless a resubmission has already replaced it.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job)
+	if len(s.finished) <= maxFinished {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	if s.byID[old.ID()] == old {
+		delete(s.byID, old.ID())
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old.ID() })
 	}
 }
 

@@ -33,6 +33,19 @@ func postSpec(t *testing.T, ts *httptest.Server, spec Spec) (int, Progress) {
 	return resp.StatusCode, p
 }
 
+// postCancel cancels campaign id and requires the 202 that answers it.
+func postCancel(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel %s = %d", id, resp.StatusCode)
+	}
+}
+
 func waitDone(t *testing.T, ts *httptest.Server, id string) Progress {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -281,14 +294,7 @@ func TestServerResultConflict(t *testing.T) {
 
 	// Cancel over HTTP; terminal state must be cancelled and result
 	// must stay 409.
-	resp, err := http.Post(ts.URL+"/campaigns/"+p.ID+"/cancel", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel: %d", resp.StatusCode)
-	}
+	postCancel(t, ts, p.ID)
 	fin := waitDone(t, ts, p.ID)
 	if fin.Status != StatusCancelled {
 		t.Skipf("campaign finished %v before cancel landed", fin.Status)
@@ -404,22 +410,12 @@ func TestServerResubmitAfterPendingCancel(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit small = %d", code)
 	}
-	cancel := func(id string) {
-		resp, err := http.Post(ts.URL+"/campaigns/"+id+"/cancel", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("cancel %s = %d", id, resp.StatusCode)
-		}
-	}
-	cancel(small.ID)
+	postCancel(t, ts, small.ID)
 	code, again := postSpec(t, ts, smallSpec())
 	if code != http.StatusAccepted || again.ID != small.ID || again.Status != StatusQueued {
 		t.Fatalf("resubmit after a pending cancel = %d %+v, want 202 and a fresh queued job", code, again)
 	}
-	cancel(long.ID)
+	postCancel(t, ts, long.ID)
 	if fin := waitDone(t, ts, small.ID); fin.Status != StatusDone {
 		t.Fatalf("resubmitted campaign ended %s (%s), want done", fin.Status, fin.Error)
 	}
@@ -434,5 +430,107 @@ func TestServerSubmitBodyLimit(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("submit of %d bytes = %d, want 413", len(body), rec.Code)
+	}
+}
+
+// TestServerForgetsOldFinished ends maxFinished+2 campaigns: the two
+// oldest answer 404 and leave the listing, which stays at maxFinished,
+// and resubmitting the oldest, a done campaign, replays it from the
+// store to the same result bytes.
+func TestServerForgetsOldFinished(t *testing.T) {
+	store, err := runcache.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOpts(Options{Disk: store, Jobs: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := func(i int) Spec {
+		s := oneCellSpec(1, 2)
+		s.Seeds.Base = int64(2 * i)
+		return s
+	}
+	ids := make([]string, maxFinished+2)
+	var first []byte
+	for i := range ids {
+		code, p := postSpec(t, ts, spec(i))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", i, code)
+		}
+		ids[i] = p.ID
+		if fin := waitDone(t, ts, p.ID); fin.Status != StatusDone {
+			t.Fatalf("campaign %d ended %s (%s)", i, fin.Status, fin.Error)
+		}
+		if i == 0 {
+			_, first = getBody(t, ts.URL+"/campaigns/"+p.ID+"/result")
+		}
+	}
+	// dispatch forgets a job after its successor reports done, so wait.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if code, _ := getBody(t, ts.URL+"/campaigns/"+ids[1]); code == http.StatusNotFound {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign %s is still known after %d newer ones finished", ids[1], maxFinished)
+		}
+	}
+	if code, _ := getBody(t, ts.URL+"/campaigns/"+ids[0]+"/result"); code != http.StatusNotFound {
+		t.Errorf("oldest campaign's result = %d, want 404", code)
+	}
+	if code, _ := getBody(t, ts.URL+"/campaigns/"+ids[2]); code != http.StatusOK {
+		t.Errorf("campaign %d = %d, want 200", 2, code)
+	}
+	var list []Progress
+	if _, b := getBody(t, ts.URL+"/campaigns"); json.Unmarshal(b, &list) != nil || len(list) != maxFinished || list[0].ID != ids[2] {
+		t.Fatalf("listing holds %d campaigns, want the newest %d:\n%s", len(list), maxFinished, b)
+	}
+
+	code, p := postSpec(t, ts, spec(0))
+	if code != http.StatusAccepted || p.ID != ids[0] {
+		t.Fatalf("resubmit of a forgotten campaign = %d %s, want 202 %s", code, p.ID, ids[0])
+	}
+	if fin := waitDone(t, ts, p.ID); fin.Status != StatusDone || fin.Simulated != 0 || fin.DiskHits != fin.TotalRuns {
+		t.Fatalf("resubmitted campaign ended %s with %d simulated and %d disk hits of %d runs, want done from the store",
+			fin.Status, fin.Simulated, fin.DiskHits, fin.TotalRuns)
+	}
+	if _, b := getBody(t, ts.URL+"/campaigns/"+p.ID+"/result"); !bytes.Equal(b, first) {
+		t.Errorf("replayed result differs from the first run's:\n%s\nwant:\n%s", b, first)
+	}
+}
+
+// A cancelled campaign replaced by a resubmission leaves the old job
+// among the finished ones. Forgetting that old job must not forget the
+// id, which names the newer attempt.
+func TestServerRetireKeepsResubmission(t *testing.T) {
+	srv := NewServerOpts(Options{Jobs: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var p Progress
+	for attempt := 0; attempt < 2; attempt++ {
+		var code int
+		code, p = postSpec(t, ts, oneCellSpec(1, 1<<30)) // runs until cancelled
+		if code != http.StatusAccepted {
+			t.Fatalf("attempt %d = %d, want 202", attempt, code)
+		}
+		postCancel(t, ts, p.ID)
+	}
+	if fin := waitDone(t, ts, p.ID); fin.Status != StatusCancelled {
+		t.Fatalf("second attempt ended %s, want cancelled", fin.Status)
+	}
+	// Both attempts and maxFinished-1 more campaigns end, so the first
+	// attempt is forgotten and the second is the oldest one kept.
+	for i := 1; i < maxFinished; i++ {
+		s := oneCellSpec(1, 1)
+		s.Seeds.Base = int64(i)
+		_, q := postSpec(t, ts, s)
+		waitDone(t, ts, q.ID)
+	}
+	srv.Close() // waits for dispatch to retire the last job
+	if code, b := getBody(t, ts.URL+"/campaigns/"+p.ID); code != http.StatusOK {
+		t.Fatalf("resubmitted campaign = %d, want 200 while it is among the newest %d\n%s", code, maxFinished, b)
 	}
 }

@@ -267,7 +267,7 @@ func locationOf(name string) (scenario.ServerLoc, error) {
 }
 
 func sizeOf(mb float64) (float64, error) {
-	if mb <= 0 || mb > 4096 {
+	if !(mb > 0 && mb <= 4096) { // so that NaN fails too
 		return 0, fmt.Errorf("campaign: size %vMB out of range (0, 4096]", mb)
 	}
 	return mb, nil

@@ -1,8 +1,10 @@
-// Disk backend: a persistent content-addressed store under the same
-// sha256 Keys the in-process cache uses, so campaigns dedupe and resume
-// across invocations. The format is crash-safe by construction:
-// append-only segment files of self-checking records, an in-memory index
-// rebuilt on open, and torn tails (a crash mid-append) truncated during
+// Package runcache is the persistent content-addressed run store:
+// campaign results under the sha256 Keys that scenario.CacheKey
+// computes, so campaigns dedupe and resume across invocations.
+// Correctness rests on runs being pure functions of their digested
+// inputs. The format is crash-safe by construction: append-only
+// segment files of self-checking records, an in-memory index rebuilt
+// on open, and torn tails (a crash mid-append) truncated during
 // recovery. Values are opaque bytes; the caller owns the codec (the
 // campaign layer encodes scenario.Results), which keeps the store
 // generic and the on-disk format independent of Go struct layout.
@@ -34,6 +36,10 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// Key is a canonical content digest of one run's inputs — in practice a
+// SHA-256 of the scenario configuration, protocol, seed, and options.
+type Key [32]byte
 
 // storeShards stripes the index so concurrent Gets from many campaign
 // workers don't serialise on one lock (keys are sha256 digests, so the

@@ -108,12 +108,3 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	}
 	return out
 }
-
-// Each is Map without results: it runs fn(0..n-1) across the pool and
-// waits for all of them.
-func (p *Pool) Each(n int, fn func(i int)) {
-	Map(p, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}

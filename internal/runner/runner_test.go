@@ -107,11 +107,3 @@ func TestPanicErrorUnwrap(t *testing.T) {
 		t.Error("non-error panic values unwrap to nil")
 	}
 }
-
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	New(3).Each(10, func(i int) { sum.Add(int64(i)) })
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d, want 45", sum.Load())
-	}
-}

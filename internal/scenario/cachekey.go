@@ -13,10 +13,49 @@ import (
 // RunCache memoizes Results across experiments. Sharing one cache
 // between all the tables of a suite lets overlapping grids — shared
 // baselines, repeated ablation arms — simulate each distinct run once.
-type RunCache = runcache.Flight[Result]
+// The first Result stored under a key wins. Concurrent misses of one
+// key each simulate it, and every store after the first is counted as
+// a duplicate; runs are pure functions of their key, so every caller
+// gets the same Result either way.
+type RunCache struct {
+	mu                       sync.Mutex
+	m                        map[runcache.Key]Result
+	hits, misses, duplicates uint64
+}
 
 // NewRunCache returns an empty run cache that keeps every Result.
-func NewRunCache() *RunCache { return runcache.NewMemo[Result]() }
+func NewRunCache() *RunCache { return &RunCache{m: make(map[runcache.Key]Result)} }
+
+// Do returns the Result stored under k, or runs fn outside the lock
+// and stores its Result unless another call stored k first. A
+// panicking fn stores nothing and panics only in its own caller.
+func (c *RunCache) Do(k runcache.Key, fn func() Result) Result {
+	c.mu.Lock()
+	if r, ok := c.m[k]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return r
+	}
+	c.misses++
+	c.mu.Unlock()
+	r := fn()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if first, ok := c.m[k]; ok {
+		c.duplicates++
+		return first
+	}
+	c.m[k] = r
+	return r
+}
+
+// FlightStats reports hits, misses and duplicate simulations: misses
+// whose Result another call of the same key had already stored.
+func (c *RunCache) FlightStats() (hits, misses, duplicates uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.duplicates
+}
 
 // KeyVersion leads both levels of the key encoding. Bump it whenever
 // the encoding, the fields of a digested type, or the model's outputs

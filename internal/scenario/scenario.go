@@ -231,7 +231,8 @@ type associationSource interface {
 // from a process-wide pool and reused between runs; a pooled run is
 // bit-identical to a fresh-state one. With Opts.Cache set, cache-eligible
 // runs (see Opts.Cache) are memoized under a content digest of their
-// inputs and simulate at most once per cache.
+// inputs, and the first Result stored under a key serves every later
+// run of it.
 func Run(sc Scenario, proto Protocol, opt Opts) Result {
 	if opt.Cache != nil {
 		if k, ok := CacheKey(sc, proto, opt); ok {

@@ -36,6 +36,15 @@ type batchDigest struct {
 	trace     []byte
 }
 
+// lossyConstant is a constant-rate capacity whose per-packet random
+// loss probability is *loss, which the scenario flips mid-run.
+type lossyConstant struct {
+	*link.Constant
+	loss *float64
+}
+
+func (c lossyConstant) LossProb() float64 { return *c.loss }
+
 // runBatchScenario runs one seeded two-path MPTCP transfer — a WiFi path
 // whose capacity flaps under an on/off modulator (rate changes between
 // batched rounds), a lossy LTE path (per-round Bernoulli draws) whose
@@ -63,10 +72,9 @@ func runBatchScenario(seed int64, lossPct, loss2Pct, flipCs, holdCs, suspendCs u
 	losses := [2]float64{float64(lossPct%20) / 100, float64(loss2Pct%20) / 100}
 	loss := losses[0]
 	ltePath := &tcp.Path{
-		Name:      "lte",
-		Capacity:  link.NewConstant(units.MbpsRate(8)),
-		BaseRTT:   0.08,
-		ExtraLoss: func() float64 { return loss },
+		Name:     "lte",
+		Capacity: lossyConstant{link.NewConstant(units.MbpsRate(8)), &loss},
+		BaseRTT:  0.08,
 	}
 
 	opts := mptcp.DefaultOptions()

@@ -152,13 +152,13 @@ func TestSubflowRoundSteadyStateAllocFree(t *testing.T) {
 				// collision-loss levels.
 				lps := [2]float64{0.016, 0.048}
 				calls := 0
-				path.ExtraLoss = func() float64 {
+				path.Capacity = lossyLink{path.Capacity, func() float64 {
 					calls++
 					if calls%7 == 0 {
 						flips++
 					}
 					return lps[calls/7%2]
-				}
+				}}
 			}
 			var src DataSource = benchSink{}
 			if tc.metered {

@@ -58,13 +58,11 @@ func DefaultConfig() Config {
 type Path struct {
 	// Name identifies the path in logs ("wifi", "lte").
 	Name string
-	// Capacity is the available-bandwidth process.
+	// Capacity is the available-bandwidth process. One that implements
+	// link.LossProcess also sets the path's per-packet random loss.
 	Capacity link.Process
 	// BaseRTT is the path's propagation RTT in seconds.
 	BaseRTT float64
-	// ExtraLoss, when non-nil, returns an additional per-packet random
-	// loss probability (e.g. contention collisions).
-	ExtraLoss func() float64
 
 	active int // subflows with a round in progress
 
@@ -83,9 +81,6 @@ type Path struct {
 
 // LossProb returns the path's current per-packet random loss probability.
 func (p *Path) LossProb() float64 {
-	if p.ExtraLoss != nil {
-		return p.ExtraLoss()
-	}
 	if !p.lossChecked {
 		p.lossChecked = true
 		p.lossProc, _ = p.Capacity.(link.LossProcess)

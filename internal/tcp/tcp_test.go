@@ -276,15 +276,23 @@ func TestIdleSubflowKick(t *testing.T) {
 	}
 }
 
+// lossyLink is a capacity whose per-packet random loss probability
+// is whatever loss returns.
+type lossyLink struct {
+	link.Process
+	loss func() float64
+}
+
+func (l lossyLink) LossProb() float64 { return l.loss() }
+
 func TestLossyPathLowersGoodput(t *testing.T) {
 	run := func(loss float64) units.ByteSize {
 		eng := sim.New()
 		src := simrng.New(6)
 		path := &Path{
-			Name:      "lossy",
-			Capacity:  link.NewConstant(units.MbpsRate(10)),
-			BaseRTT:   0.05,
-			ExtraLoss: func() float64 { return loss },
+			Name:     "lossy",
+			Capacity: lossyLink{link.NewConstant(units.MbpsRate(10)), func() float64 { return loss }},
+			BaseRTT:  0.05,
 		}
 		s := &sink{remaining: 256 * units.MB, eng: eng}
 		sf := NewSubflow("sf0", eng, src, path, DefaultConfig(), s)
