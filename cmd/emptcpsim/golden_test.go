@@ -129,6 +129,7 @@ func TestGoldenTraceAndMetrics(t *testing.T) {
 // model's results from every filled store.
 var modelDigests = map[int]string{
 	3: "f83c604e87b5c6395459e0f661beb43b8a6aa0c8da37d841b9423b15f3ddcd23",
+	4: "f83c604e87b5c6395459e0f661beb43b8a6aa0c8da37d841b9423b15f3ddcd23",
 }
 
 // modelCampaign is the small wild grid whose aggregates the digest

@@ -10,42 +10,46 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/runcache"
 	"repro/internal/scenario"
 )
 
-// The replay path's per-run budget. runAt and cellAt are index
-// arithmetic and a table read, in the nanoseconds; runKey is the key a
-// replayed run hashes, grid.keyAt's one scenario.RunKey over the
-// compiled base key. cacheKey is the full two-level key of one
-// scenario, which the campaign path no longer computes per run. CI
-// checks that runAt, runKey and cacheKey report 0 allocs/op.
+// The replay path's per-run keying budget. at is grid.at, the one
+// decode of a run index into its compiled scenario, protocol, seed and
+// cell: index arithmetic and a table read. runKey adds the key a
+// replayed run composes, one scenario.RunKey over the compiled base key:
+// a byte copy, no hash. cacheKey is the full two-level key of one
+// scenario, which hashes it and which the campaign path no longer
+// computes per run. CI checks that all three report 0 allocs/op. The
+// sinks keep the compiler from discarding the inlined key.
 func BenchmarkRunAtAndKey(b *testing.B) {
 	g, err := compile(smallSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("runAt", func(b *testing.B) {
+	b.Run("at", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g.runAt(uint64(i) % g.total)
-		}
-	})
-	b.Run("cellAt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.cellAt(uint64(i) % g.total)
+			_, _, _, cellSink = g.at(uint64(i) % g.total)
 		}
 	})
 	b.Run("cacheKey", func(b *testing.B) {
-		sc, proto, seed, _ := g.runAt(0)
+		c, proto, seed, _ := g.at(0)
 		for i := 0; i < b.N; i++ {
-			scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
+			keySink, _ = scenario.CacheKey(c.sc, proto, scenario.Opts{Seed: seed})
 		}
 	})
 	b.Run("runKey", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g.keyAt(uint64(i) % g.total)
+			c, proto, seed, _ := g.at(uint64(i) % g.total)
+			keySink, _ = scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
 		}
 	})
 }
+
+var (
+	cellSink int
+	keySink  runcache.Key
+)
 
 // BenchmarkDistributedCampaign drives a cache-cold 10⁵-run campaign
 // through the full HTTP coordinator, with the coordinator pinned to one

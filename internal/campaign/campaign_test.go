@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -107,8 +106,9 @@ func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 		// 2^64 runs: the product wrapped to 0, and the job published an
 		// empty result as done.
 		oneCellSpec(1<<62, 4),
-		// 2^64+4 runs: the product wrapped to 4, the key memo's base
-		// grid to 0 runs, and the first run divided by zero.
+		// 2^64+4 runs: the product wrapped to 4, the base grid of the
+		// replica key memo (since deleted) to 0 runs, and the first run
+		// divided by zero.
 		oneCellSpec(1<<62+1, 4),
 		// A ~4 KB body of 300 "good"s in wifi and lte: New compiled
 		// 270,000 cells and 270,000 scenarios for it.
@@ -210,16 +210,13 @@ func TestGridDecomposition(t *testing.T) {
 	seenCell := make(map[int]int)
 	seenSeed := make(map[int64]int)
 	for i := uint64(0); i < g.total; i++ {
-		sc, proto, seed, cell := g.runAt(i)
+		c, proto, seed, cell := g.at(i)
 		if cell < 0 || cell >= g.cells() {
 			t.Fatalf("run %d: cell %d out of range", i, cell)
 		}
-		if fast := g.cellAt(i); fast != cell {
-			t.Fatalf("run %d: cellAt %d != runAt cell %d", i, fast, cell)
-		}
 		seenCell[cell]++
 		seenSeed[seed]++
-		if sc.Work == nil || sc.Device == nil {
+		if c.sc.Work == nil || c.sc.Device == nil {
 			t.Fatalf("run %d: incomplete scenario", i)
 		}
 		wantProto := scenario.MPTCP
@@ -249,13 +246,13 @@ func TestGridDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < g.total; i++ {
-		sc0, p0, s0, c0 := gr.runAt(i)
-		sc1, p1, s1, c1 := gr.runAt(i + g.total)
+		cs0, p0, s0, c0 := gr.at(i)
+		cs1, p1, s1, c1 := gr.at(i + g.total)
 		if p0 != p1 || s0 != s1 || c0 != c1 {
 			t.Fatalf("replica of run %d decodes differently", i)
 		}
-		k0, ok0 := scenario.CacheKey(sc0, p0, scenario.Opts{Seed: s0})
-		k1, ok1 := scenario.CacheKey(sc1, p1, scenario.Opts{Seed: s1})
+		k0, ok0 := scenario.CacheKey(cs0.sc, p0, scenario.Opts{Seed: s0})
+		k1, ok1 := scenario.CacheKey(cs1.sc, p1, scenario.Opts{Seed: s1})
 		if !ok0 || !ok1 || k0 != k1 {
 			t.Fatalf("replica of run %d has a different cache key", i)
 		}
@@ -263,12 +260,13 @@ func TestGridDecomposition(t *testing.T) {
 }
 
 // TestGridKeysMatchScalarKeys checks the compiled table against the
-// scalar path: for every run index, grid.keyAt, the replica key memo
-// and runAt's compiled scenario all key like a scenario.Wild built from
-// the index's own mixed-radix digits (seed innermost, then location,
-// protocol, size, LTE, WiFi, replica). Every dimension has at least two
-// values and the location and size counts differ, so a transposed
-// table index reads another scenario.
+// scalar path: for every run index, the key the executor composes over
+// grid.at's compiled base key, and the key of grid.at's compiled
+// scenario, equal the key of a scenario.Wild built from the index's own
+// mixed-radix digits (seed innermost, then location, protocol, size,
+// LTE, WiFi, replica). Every dimension has at least two values and the
+// location and size counts differ, so a transposed table index reads
+// another scenario.
 func TestGridKeysMatchScalarKeys(t *testing.T) {
 	dev := energy.GalaxyS3()
 	for _, seeds := range []int{1, 4} {
@@ -285,8 +283,6 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newExecutor(g, nil)
-		e.memoizeKeys()
 		radix := []int{seeds, len(spec.Locations), len(spec.Protocols), len(spec.SizesMB), len(spec.LTE), len(spec.WiFi)}
 		for i := uint64(0); i < g.total; i++ {
 			var d [6]int
@@ -306,64 +302,24 @@ func TestGridKeysMatchScalarKeys(t *testing.T) {
 			if !ok {
 				t.Fatalf("seeds=%d run %d: Wild scenario has no key", seeds, i)
 			}
-			if got := g.keyAt(i); got != want {
-				t.Fatalf("seeds=%d run %d: grid.keyAt differs from the scalar key of %q", seeds, i, sc.Name)
-			}
-			if got := e.keyAt(i); got != want {
-				t.Fatalf("seeds=%d run %d: memoized key differs from the scalar key of %q", seeds, i, sc.Name)
-			}
-			rsc, rproto, rseed, _ := g.runAt(i)
+			c, rproto, rseed, _ := g.at(i)
 			if rproto != proto || rseed != seed {
-				t.Fatalf("seeds=%d run %d: runAt decodes (%v, %d), want (%v, %d)", seeds, i, rproto, rseed, proto, seed)
+				t.Fatalf("seeds=%d run %d: at decodes (%v, %d), want (%v, %d)", seeds, i, rproto, rseed, proto, seed)
 			}
-			if got, ok := scenario.CacheKey(rsc, rproto, scenario.Opts{Seed: rseed}); !ok || got != want {
-				t.Fatalf("seeds=%d run %d: runAt's scenario %q keys differently from %q", seeds, i, rsc.Name, sc.Name)
+			if got, ok := scenario.RunKey(c.base, rproto, scenario.Opts{Seed: rseed}); !ok || got != want {
+				t.Fatalf("seeds=%d run %d: the key over the compiled base differs from the scalar key of %q", seeds, i, sc.Name)
 			}
-		}
-	}
-}
-
-// The key memo holds at most maxMemoRuns keys: a base grid of exactly
-// that many runs is memoized whole, one run more keeps the memo at the
-// bound and keys its last base run through grid.keyAt, an unreplicated
-// grid keeps none, and the executor keys every sampled run like the
-// grid in each case.
-func TestKeyMemoBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct{ replicate, base, memo int }{
-		{2, maxMemoRuns, maxMemoRuns},
-		{2, maxMemoRuns + 1, maxMemoRuns},
-		{1, maxMemoRuns, 0},
-	} {
-		g, err := compile(oneCellSpec(tc.replicate, tc.base))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := newExecutor(g, nil)
-		e.memoizeKeys()
-		if len(e.keys) != tc.memo {
-			t.Fatalf("base grid of %d runs ×%d: memo of %d keys, want %d", tc.base, tc.replicate, len(e.keys), tc.memo)
-		}
-		base := uint64(tc.base)
-		sample := []uint64{0, 1, maxMemoRuns - 1, base - 1, g.total - 1}
-		if g.total > base {
-			sample = append(sample, base, base+maxMemoRuns-1, base+maxMemoRuns)
-		}
-		for k := 0; k < 64; k++ {
-			sample = append(sample, rng.Uint64()%g.total)
-		}
-		for _, i := range sample {
-			if e.keyAt(i) != g.keyAt(i) {
-				t.Fatalf("base grid of %d runs ×%d: executor key of run %d differs from grid.keyAt", tc.base, tc.replicate, i)
+			if got, ok := scenario.CacheKey(c.sc, rproto, scenario.Opts{Seed: rseed}); !ok || got != want {
+				t.Fatalf("seeds=%d run %d: the compiled scenario %q keys differently from %q", seeds, i, c.sc.Name, sc.Name)
 			}
 		}
 	}
 }
 
-// A base grid far past the memo bound runs and cancels like any other.
-// This one-cell spec of 2^47 runs validates, and Execute used to panic
-// at once allocating a memo of 2^46 keys (makeslice: len out of range)
-// outside any recover, ending the process.
+// A huge base grid runs and cancels like any other. This one-cell spec
+// of 2^47 runs validates, and Execute once panicked at once allocating a
+// key memo of 2^46 keys (makeslice: len out of range) outside any
+// recover, ending the process.
 func TestHugeBaseGridRunsAndCancels(t *testing.T) {
 	j, err := New(oneCellSpec(2, 1<<46), Options{Jobs: 1})
 	if err != nil {
@@ -403,8 +359,8 @@ func TestCodecRoundtrip(t *testing.T) {
 		Switches:       3,
 		LTEUsed:        true,
 	}
-	got, err := decodeResult(encodeResult(r))
-	if err != nil {
+	var got scenario.Result
+	if err := decodeResult(encodeResult(r), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, r) {
@@ -415,8 +371,7 @@ func TestCodecRoundtrip(t *testing.T) {
 	r.Completed = false
 	r.CompletionTime = math.NaN()
 	r.JPerByte = math.Inf(1)
-	got, err = decodeResult(encodeResult(r))
-	if err != nil {
+	if err := decodeResult(encodeResult(r), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(got.CompletionTime) || !math.IsInf(got.JPerByte, 1) {
@@ -425,11 +380,11 @@ func TestCodecRoundtrip(t *testing.T) {
 
 	// Truncated and version-skewed records are errors, not garbage.
 	b := encodeResult(r)
-	if _, err := decodeResult(b[:len(b)-1]); err == nil {
+	if err := decodeResult(b[:len(b)-1], &got); err == nil {
 		t.Error("truncated record decoded")
 	}
 	b[0] = 99
-	if _, err := decodeResult(b); err == nil {
+	if err := decodeResult(b, &got); err == nil {
 		t.Error("version-skewed record decoded")
 	}
 }
@@ -453,7 +408,8 @@ func runToBytes(t *testing.T, spec Spec, opts Options) []byte {
 }
 
 // TestWarmRunAllocs pins the replay path's allocations: a run served
-// through a Reader whose block holds its record allocates nothing.
+// through a Reader whose block holds its record, keyed over its compiled
+// base key and decoded into the fold, allocates nothing.
 func TestWarmRunAllocs(t *testing.T) {
 	store, err := runcache.OpenStore(t.TempDir())
 	if err != nil {
@@ -465,19 +421,21 @@ func TestWarmRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := j.exec
+	a := newAgg(e.g.cells())
+	c, proto, seed, cell := e.g.at(3)
 	rd := store.NewReader()
-	if _, hit, err := e.oneRun(3, rd); err != nil || hit { // cold: simulate and store
+	if hit, err := e.oneRun(a, c, proto, seed, cell, rd); err != nil || hit { // cold: simulate and store
 		t.Fatalf("cold run: hit %v, %v", hit, err)
 	}
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := e.oneRun(3, rd); err != nil || !hit { // fills rd's block
+	if hit, err := e.oneRun(a, c, proto, seed, cell, rd); err != nil || !hit { // fills rd's block
 		t.Fatalf("first warm run: hit %v, %v", hit, err)
 	}
 	var hits int
 	allocs := testing.AllocsPerRun(100, func() {
-		_, hit, err := e.oneRun(3, rd)
+		hit, err := e.oneRun(a, c, proto, seed, cell, rd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,6 +448,9 @@ func TestWarmRunAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a warm run allocates %v times, want 0", allocs)
+	}
+	if n := a.cells[cell].runs; n != 103 {
+		t.Errorf("cell %d folded %d runs, want 103", cell, n)
 	}
 }
 

@@ -62,14 +62,18 @@ func encodeResult(r scenario.Result) []byte {
 	return b
 }
 
-func decodeResult(b []byte) (scenario.Result, error) {
-	var r scenario.Result
+// decodeResult decodes one record into *r, which it leaves untouched
+// when it refuses the record.
+func decodeResult(b []byte, r *scenario.Result) error {
 	if len(b) != codecSize {
-		return r, fmt.Errorf("campaign: result record is %d bytes, want %d", len(b), codecSize)
+		return fmt.Errorf("campaign: result record is %d bytes, want %d", len(b), codecSize)
 	}
 	if b[0] != codecVersion || b[1] != byte(energy.NumInterfaces) {
-		return r, fmt.Errorf("campaign: result record version %d/%d, want %d/%d",
+		return fmt.Errorf("campaign: result record version %d/%d, want %d/%d",
 			b[0], b[1], codecVersion, energy.NumInterfaces)
+	}
+	if binary.LittleEndian.Uint64(b[2+8:]) > 1 || b[codecSize-1] > 1 {
+		return fmt.Errorf("campaign: result record has a boolean that is neither 0 nor 1")
 	}
 	b = b[2:]
 	u64 := func() uint64 {
@@ -78,12 +82,9 @@ func decodeResult(b []byte) (scenario.Result, error) {
 		return v
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
+	*r = scenario.Result{}
 	r.Protocol = scenario.Protocol(u64())
-	completed := u64()
-	if completed > 1 || b[len(b)-1] > 1 {
-		return scenario.Result{}, fmt.Errorf("campaign: result record has a boolean that is neither 0 nor 1")
-	}
-	r.Completed = completed == 1
+	r.Completed = u64() == 1
 	r.CompletionTime = f64()
 	r.Elapsed = f64()
 	r.Energy = units.Energy(f64())
@@ -97,5 +98,5 @@ func decodeResult(b []byte) (scenario.Result, error) {
 	r.BatteryPct = f64()
 	r.Switches = int(u64())
 	r.LTEUsed = b[0] != 0
-	return r, nil
+	return nil
 }

@@ -62,18 +62,20 @@ func TestResultCodecRejectsNonCanonicalBooleans(t *testing.T) {
 	} {
 		b := append([]byte(nil), good...)
 		b[tc.off] = tc.v
-		if got, err := decodeResult(b); err == nil {
+		var got scenario.Result
+		if err := decodeResult(b, &got); err == nil {
 			t.Errorf("%s: decoded to %+v", tc.name, got)
 		}
 	}
-	if _, err := decodeResult(good); err != nil {
+	if err := decodeResult(good, new(scenario.Result)); err != nil {
 		t.Fatalf("canonical record refused: %v", err)
 	}
 }
 
 // FuzzResultCodec: decodeResult never panics, every record it accepts
-// re-encodes to exactly its bytes, and decode(encode(r)) is bit-exact
-// for a Result built from the same fuzz bytes.
+// re-encodes to exactly its bytes, a record it refuses leaves the
+// destination as it was, and decode(encode(r)) is bit-exact for a Result
+// built from the same fuzz bytes.
 func FuzzResultCodec(f *testing.F) {
 	f.Add(encodeResult(scenario.Result{Protocol: scenario.EMPTCP, Completed: true, CompletionTime: 12.375,
 		Energy: 34.5, ByIface: [energy.NumInterfaces]units.Energy{1, 2, 0}, Switches: 3, LTEUsed: true}))
@@ -83,10 +85,14 @@ func FuzzResultCodec(f *testing.F) {
 	noncanon[10] = 2
 	f.Add(noncanon)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := decodeResult(data); err == nil {
-			if again := encodeResult(r); !bytes.Equal(again, data) {
+		before := scenario.Result{Protocol: -1, CompletionTime: math.NaN(), Switches: -1}
+		dst := before
+		if err := decodeResult(data, &dst); err == nil {
+			if again := encodeResult(dst); !bytes.Equal(again, data) {
 				t.Fatalf("accepted record re-encodes differently:\n in  %x\n out %x", data, again)
 			}
+		} else if a, b := resultFields(before), resultFields(dst); !slices.Equal(a, b) {
+			t.Fatalf("refused record changed the destination:\n was %x\n now %x", a, b)
 		}
 
 		src := fieldSource{data}
@@ -107,8 +113,8 @@ func FuzzResultCodec(f *testing.F) {
 		flags := src.u64()
 		r.Completed = flags&1 != 0
 		r.LTEUsed = flags&2 != 0
-		got, err := decodeResult(encodeResult(r))
-		if err != nil {
+		var got scenario.Result
+		if err := decodeResult(encodeResult(r), &got); err != nil {
 			t.Fatalf("round trip refused: %v", err)
 		}
 		if a, b := resultFields(r), resultFields(got); !slices.Equal(a, b) {

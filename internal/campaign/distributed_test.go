@@ -755,15 +755,13 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	// the campaign's state is consulted.
 	moved := newAgg(j.g.cells())
 	for i := lo; i < hi; i++ {
-		res, _, err := j.exec.oneRun(i, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cell := j.g.cellAt(i)
+		c, proto, seed, cell := j.g.at(i)
 		if i == lo {
 			cell = (cell + 1) % j.g.cells()
 		}
-		moved.add(cell, &res)
+		if _, err := j.exec.oneRun(moved, c, proto, seed, cell, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tamper := func(f func(c *cellAcc)) *agg {
 		b := newAgg(j.g.cells())
@@ -1138,7 +1136,8 @@ func TestHonestShardsPassValidation(t *testing.T) {
 func walkCellRuns(g *grid, lo, hi uint64) []uint64 {
 	n := make([]uint64, g.cells())
 	for i := lo; i < hi; i++ {
-		n[g.cellAt(i)]++
+		_, _, _, cell := g.at(i)
+		n[cell]++
 	}
 	return n
 }

@@ -41,8 +41,8 @@ func decodeCoords(w uint16) runCoords {
 }
 
 // viaGrid builds run c through a one-run campaign grid: the compiled
-// scenario, and the grid's own key when the options are a campaign
-// run's (no Trace), else a RunKey over the compiled base key.
+// scenario, keyed as the executor keys a run, by a RunKey over the
+// compiled base key.
 func viaGrid(t *testing.T, c runCoords) (scenario.Scenario, scenario.Protocol, scenario.Opts, runcache.Key) {
 	t.Helper()
 	g, err := compile(Spec{
@@ -57,16 +57,13 @@ func viaGrid(t *testing.T, c runCoords) (scenario.Scenario, scenario.Protocol, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, proto, seed, _ := g.runAt(0)
+	cs, proto, seed, _ := g.at(0)
 	opt := scenario.Opts{Seed: seed, Trace: c.trace}
-	if !c.trace {
-		return sc, proto, opt, g.keyAt(0)
-	}
-	k, ok := scenario.RunKey(g.scens[0].base, proto, opt)
+	k, ok := scenario.RunKey(cs.base, proto, opt)
 	if !ok {
-		t.Fatal("a traced run has no RunKey")
+		t.Fatal("a grid run has no RunKey")
 	}
-	return sc, proto, opt, k
+	return cs.sc, proto, opt, k
 }
 
 // viaWild builds run c through a fresh scenario.Wild with its own

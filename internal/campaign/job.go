@@ -78,23 +78,13 @@ type Progress struct {
 // executor folds shards of a compiled grid into aggregates: the part of
 // campaign execution that is identical whether it runs inside the
 // coordinator's Job or inside a remote `emptcpsim worker`. Each process
-// owns one executor per campaign, with its own disk store and key memo.
-// The grid's compiled scenarios and base keys are read-only, so the
-// executor's goroutines share them: no run assembles a scenario or
-// re-encodes one for its key.
+// owns one executor per campaign, with its own disk store. The grid's
+// compiled scenarios and base keys are read-only, so the executor's
+// goroutines share them: no run assembles a scenario or hashes one for
+// its key.
 type executor struct {
 	g    *grid
 	disk *runcache.Store
-
-	// keys memoizes the cache keys of the base grid's first maxMemoRuns
-	// runs when Replicate > 1: replica r of base run b shares b's key,
-	// so a replayed replica of a memoized run costs a slice read instead
-	// of grid.keyAt's scenario.RunKey hash; base runs past the memo key
-	// through grid.keyAt. base is the base grid's run count. The first
-	// foldShard fills both; read-only after.
-	keyOnce sync.Once
-	keys    []runcache.Key
-	base    uint64
 }
 
 func newExecutor(g *grid, disk *runcache.Store) *executor {
@@ -118,58 +108,22 @@ func (e *executor) nShards() uint64 {
 	return (e.g.total-1)/uint64(e.g.spec.ShardSize) + 1
 }
 
-// maxMemoRuns bounds the key memo at 2 MB of keys (32 B each), which
-// fill in ~17 ms ahead of every local worker's first shard; DESIGN
-// §4.12 has the measurements behind the bound.
-const maxMemoRuns = 1 << 16
-
-// memoizeKeys fills the key memo from grid.keyAt — one RunKey over a
-// compiled base key per run — for the first maxMemoRuns runs of one
-// replica when the grid repeats. The memo is immutable once published
-// by the Once.
-func (e *executor) memoizeKeys() {
-	e.keyOnce.Do(func() {
-		rep := uint64(e.g.spec.Replicate)
-		if rep == 1 {
-			return
-		}
-		base := e.g.total / rep
-		keys := make([]runcache.Key, min(base, maxMemoRuns))
-		for i := range keys {
-			keys[i] = e.g.keyAt(uint64(i))
-		}
-		e.keys, e.base = keys, base
-	})
-}
-
-// keyAt returns run i's cache key: from the memo when it holds i's base
-// run, else grid.keyAt's one RunKey over the compiled base key.
-func (e *executor) keyAt(i uint64) runcache.Key {
-	if e.keys != nil {
-		if b := i % e.base; b < uint64(len(e.keys)) {
-			return e.keys[b]
-		}
-	}
-	return e.g.keyAt(i)
-}
-
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
 // in index order, reading the store through rd: a Reader of e.disk that
 // the calling worker keeps for every shard it folds, so a replay holds
 // one read-ahead block per worker rather than allocating one per shard.
-// The report carries the aggregate, the shard's run count and how many
-// of those runs were simulated and how many read from the store. stop
-// is polled between runs and, when it fires, foldShard returns a report
-// with a nil aggregate — complete nothing. A panic anywhere in a run or
-// in the key memo's fill (an engine bug) converts to an error rather
-// than crashing the process.
+// Each run index is decoded once, by grid.at. The report carries the
+// aggregate, the shard's run count and how many of those runs were
+// simulated and how many read from the store. stop is polled between
+// runs and, when it fires, foldShard returns a report with a nil
+// aggregate — complete nothing. A panic anywhere in a run (an engine
+// bug) converts to an error rather than crashing the process.
 func (e *executor) foldShard(s uint64, rd *runcache.Reader, stop func() bool) (rep shardReport, err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			rep, err = shardReport{}, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
 		}
 	}()
-	e.memoizeKeys()
 	lo, hi := e.shardRange(s)
 	a := newAgg(e.g.cells())
 	var hits uint64
@@ -177,44 +131,49 @@ func (e *executor) foldShard(s uint64, rd *runcache.Reader, stop func() bool) (r
 		if stop != nil && stop() {
 			return shardReport{}, nil
 		}
-		res, hit, err := e.oneRun(i, rd)
+		c, proto, seed, cell := e.g.at(i)
+		hit, err := e.oneRun(a, c, proto, seed, cell, rd)
 		if err != nil {
 			return shardReport{}, err
 		}
 		if hit {
 			hits++
 		}
-		a.add(e.g.cellAt(i), &res)
 	}
 	return shardReport{shard: s, runs: hi - lo, simulated: hi - lo - hits, diskHits: hits, agg: a}, nil
 }
 
-// oneRun produces run i's result: a disk hit read through rd (hit is
-// true), or a fresh simulation stored before returning. On the replay
-// path a run is one RunKey hash (or a memo read), a read from rd's
-// block, and a decode. Replicas dedupe through the store alone: a
-// replica folded while its original is still simulating elsewhere
-// simulates again, to identical bytes, and its Put is a no-op.
-func (e *executor) oneRun(i uint64, rd *runcache.Reader) (r scenario.Result, hit bool, err error) {
-	key := e.keyAt(i)
+// oneRun folds the run of compiled scenario c, proto and seed into cell
+// of a: a disk hit read through rd (hit is true) and decoded straight
+// into the Result the fold adds, or a fresh simulation stored before it
+// is folded. On the replay path a run is a RunKey byte copy over the
+// compiled base key, a read from rd's block, and a decode. Replicas
+// dedupe through the store alone: a replica folded while its original
+// is still simulating elsewhere simulates again, to identical bytes,
+// and its Put is a no-op.
+func (e *executor) oneRun(a *agg, c *compiledScenario, proto scenario.Protocol, seed int64, cell int, rd *runcache.Reader) (hit bool, err error) {
+	// RunKey refuses only a run with a Recorder or a protocol beyond one
+	// byte, and a campaign run has neither.
+	key, _ := scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
 	b, hit, err := rd.Get(key)
 	if err != nil {
-		return scenario.Result{}, false, err
+		return false, err
 	}
-	if hit {
-		if r, err := decodeResult(b); err == nil {
-			return r, true, nil
+	var r scenario.Result
+	if !hit || decodeResult(b, &r) != nil {
+		// A miss, or a record of another layout, which re-simulates: Put
+		// is a first-write-wins no-op, so the stale record stays until a
+		// cache rebuild.
+		hit = false
+		r = scenario.Run(c.sc, proto, scenario.Opts{Seed: seed})
+		if e.disk != nil {
+			if err := e.disk.Put(key, encodeResult(r)); err != nil {
+				return false, err
+			}
 		}
-		// Version/layout mismatch: treat as a miss and re-simulate.
-		// Put below is a first-write-wins no-op, so the stale record
-		// stays until a cache rebuild.
 	}
-	sc, proto, seed, _ := e.g.runAt(i)
-	r = scenario.Run(sc, proto, scenario.Opts{Seed: seed})
-	if e.disk != nil {
-		err = e.disk.Put(key, encodeResult(r))
-	}
-	return r, false, err
+	a.add(cell, &r)
+	return hit, nil
 }
 
 // Job executes one campaign: a sharded sweep of the spec's run grid

@@ -33,7 +33,7 @@ import (
 // table, so a serve-mode process with no workers attached behaves
 // exactly like the single-process CLI.
 //
-//	POST /campaigns                   submit a Spec        → 202 Progress / 400 / 413
+//	POST /campaigns                   submit a Spec        → 202 Progress / 400 / 413 / 503
 //	GET  /campaigns                   list                 → 200 [Progress]
 //	GET  /campaigns/{id}              status + snapshot    → 200 Progress
 //	GET  /campaigns/{id}/spec         normalised spec      → 200 Spec
@@ -66,9 +66,9 @@ func NewServerOpts(opts Options) *Server {
 	s := &Server{
 		opts: opts,
 		byID: make(map[string]*Job),
-		// A deep queue so submissions never block; the dispatcher
-		// drains it FIFO.
-		queue: make(chan *Job, 1024),
+		// Submissions never block: a full queue answers 503. The
+		// dispatcher drains it FIFO.
+		queue: make(chan *Job, maxQueued),
 	}
 	s.wg.Add(1)
 	go s.dispatch()
@@ -84,6 +84,14 @@ func (s *Server) SetAuthToken(token string) { s.token = token }
 // campaigns the server remembers. Each keeps its compiled grid and
 // running totals, ~0.5 MB at the largest valid spec.
 const maxFinished = 32
+
+// maxQueued bounds the campaigns waiting behind the running one; a
+// submit past it gets 503 and leaves nothing behind. A queued job holds
+// its compiled grid and its lease table's running totals until dispatch
+// reaches it: 0.47 MB of live heap at the largest valid spec, about half
+// of it the 1,792-cell aggregate at 144 B a cell. So the queue pins at
+// most about 30 MB.
+const maxQueued = 64
 
 // dispatch runs queued jobs sequentially. Sequential execution keeps
 // the memory envelope at one campaign's worth and makes progress

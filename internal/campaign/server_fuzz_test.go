@@ -12,29 +12,21 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/runcache"
 	"repro/internal/scenario"
 )
 
 // fixedMemoryBudget bounds what one accepted job holds whatever its
-// run count: the running total's cells, the compiled scenarios and the
-// key memo. A spec Validate accepts needs at most 1,792 cells, 768
-// scenarios and maxMemoRuns keys.
+// run count: the running total's cells and the compiled scenarios. A
+// spec Validate accepts needs at most 1,792 cells and 768 scenarios.
 const fixedMemoryBudget = 4 << 20
 
 // fixedMemory computes a normalised spec's fixed memory from its list
-// lengths and run counts alone, allocating none of it.
+// lengths alone, allocating none of it.
 func fixedMemory(s Spec) uint64 {
 	grid := uint64(len(s.WiFi)) * uint64(len(s.LTE)) * uint64(len(s.SizesMB))
 	cells := grid * uint64(len(s.Protocols))
 	scens := grid * uint64(len(s.Locations))
-	var memo uint64
-	if s.Replicate > 1 {
-		memo = min(s.TotalRuns()/uint64(s.Replicate), maxMemoRuns)
-	}
-	return cells*uint64(unsafe.Sizeof(cellAcc{})) +
-		scens*uint64(unsafe.Sizeof(compiledScenario{})) +
-		memo*uint64(unsafe.Sizeof(runcache.Key{}))
+	return cells*uint64(unsafe.Sizeof(cellAcc{})) + scens*uint64(unsafe.Sizeof(compiledScenario{}))
 }
 
 var (

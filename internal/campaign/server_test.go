@@ -343,6 +343,55 @@ func TestServerQueueFullLeavesNoJob(t *testing.T) {
 	}
 }
 
+// TestServerQueueBound fills the queue behind a running campaign, which
+// with no local execution never finishes: maxQueued distinct specs are
+// accepted and wait, and the first submit past the bound gets 503 and
+// registers nothing.
+func TestServerQueueBound(t *testing.T) {
+	srv := NewServerOpts(Options{Jobs: 1, noLocalExec: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	withBase := func(base int64) Spec {
+		spec := smallSpec()
+		spec.Seeds.Base = base
+		return spec
+	}
+	code, p := postSpec(t, ts, withBase(0))
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", code)
+	}
+	for p.Status != StatusRunning {
+		time.Sleep(time.Millisecond)
+		_, b := getBody(t, ts.URL+"/campaigns/"+p.ID)
+		if err := json.Unmarshal(b, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i <= maxQueued; i++ {
+		if code, p := postSpec(t, ts, withBase(i)); code != http.StatusAccepted || p.Status != StatusQueued {
+			t.Fatalf("queued submit %d: %d %s", i, code, p.Status)
+		}
+	}
+	over := withBase(maxQueued + 1)
+	if code, _ := postSpec(t, ts, over); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit past the bound: %d, want 503", code)
+	}
+	job, err := New(over, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b := getBody(t, ts.URL+"/campaigns/"+job.ID()); code != http.StatusNotFound {
+		t.Errorf("status of the refused campaign: %d, want 404\n%s", code, b)
+	}
+	code, b := getBody(t, ts.URL+"/campaigns")
+	var list []Progress
+	if err := json.Unmarshal(b, &list); code != http.StatusOK || err != nil || len(list) != 1+maxQueued {
+		t.Errorf("listing after a refused submit: %d %v, %d campaigns, want %d", code, err, len(list), 1+maxQueued)
+	}
+}
+
 func TestServerClosedRejectsSubmit(t *testing.T) {
 	srv := NewServerOpts(Options{Jobs: 1})
 	ts := httptest.NewServer(srv.Handler())

@@ -7,10 +7,11 @@
 // streaming aggregators (internal/stats.Stream), never retaining
 // per-run results, so a 10⁶-run campaign runs in constant memory.
 // Results are memoized in a persistent content-addressed disk cache
-// (internal/runcache.Store) under the same sha256 keys the in-process
-// run cache uses, so campaigns dedupe and resume across invocations;
-// the HTTP control plane in server.go exposes submit/status/result/
-// cancel as the `emptcpsim serve` capacity-planning service.
+// (internal/runcache.Store) under the same scenario.CacheKey keys the
+// in-process run cache uses, so campaigns dedupe and resume across
+// invocations; the HTTP control plane in server.go exposes submit/
+// status/result/cancel as the `emptcpsim serve` capacity-planning
+// service.
 //
 // Determinism: a campaign's aggregates are a pure function of its Spec.
 // The run grid is enumerated in a fixed order, folded into fixed-size
@@ -360,12 +361,6 @@ func (g *grid) cells() int {
 	return len(g.wifi) * len(g.lte) * len(g.spec.SizesMB) * len(g.protos)
 }
 
-// cellAt is the aggregation cell of run i.
-func (g *grid) cellAt(i uint64) int {
-	_, _, _, cell := g.at(i)
-	return cell
-}
-
 // runsBelow counts the runs of [0, x) that fold into cell c, in O(1).
 // The grid enumerates location and seed innermost, so one cell's runs
 // form blocks of B = locations·seeds runs that recur every P = B·cells
@@ -409,22 +404,4 @@ func (g *grid) at(i uint64) (c *compiledScenario, proto scenario.Protocol, seed 
 	seed = g.spec.Seeds.Base + int64(seedIdx)
 	cell = int(((wifiIdx*nLTE+lteIdx)*nSize+sizeIdx)*nProto + protoIdx)
 	return c, proto, seed, cell
-}
-
-// runAt decodes run index i into its scenario, protocol, seed, and
-// aggregation cell. The scenario is the compiled one, shared by every
-// run of its (wifi, lte, size, location) coordinates.
-func (g *grid) runAt(i uint64) (scenario.Scenario, scenario.Protocol, int64, int) {
-	c, proto, seed, cell := g.at(i)
-	return c.sc, proto, seed, cell
-}
-
-// keyAt returns run i's cache key: the compiled scenario's base key
-// completed with the run's protocol and seed by one scenario.RunKey.
-// It equals scenario.CacheKey of runAt(i). RunKey refuses only a run
-// with a Recorder, and campaign runs have none.
-func (g *grid) keyAt(i uint64) runcache.Key {
-	c, proto, seed, _ := g.at(i)
-	k, _ := scenario.RunKey(c.base, proto, scenario.Opts{Seed: seed})
-	return k
 }

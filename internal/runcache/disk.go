@@ -1,6 +1,6 @@
 // Package runcache is the persistent content-addressed run store:
-// campaign results under the sha256 Keys that scenario.CacheKey
-// computes, so campaigns dedupe and resume across invocations.
+// campaign results under the Keys that scenario.CacheKey computes, so
+// campaigns dedupe and resume across invocations.
 // Correctness rests on runs being pure functions of their digested
 // inputs. The format is crash-safe by construction: append-only
 // segment files of self-checking records, an in-memory index rebuilt
@@ -37,14 +37,30 @@ import (
 	"sync/atomic"
 )
 
-// Key is a canonical content digest of one run's inputs — in practice a
-// SHA-256 of the scenario configuration, protocol, seed, and options.
+// Key is a content key of one run's inputs. scenario.RunKey composes it
+// from the leading bytes of a SHA-256 of the scenario and the run's
+// trace flag, protocol and seed verbatim, so no one byte of a key is
+// uniform: every run of a scenario shares its first 22 bytes, and runs
+// of one seed share the last 8.
 type Key [32]byte
 
-// storeShards stripes the index so concurrent Gets from many campaign
-// workers don't serialise on one lock (keys are sha256 digests, so the
-// low byte is uniform).
-const storeShards = 64
+// The index has storeShards stripes, so concurrent Gets from many
+// campaign workers don't serialise on one lock.
+const (
+	stripeBits  = 6
+	storeShards = 1 << stripeBits
+)
+
+// stripe picks k's index stripe. It folds the key's four 64-bit words
+// with XOR, which mixes a composed key's scenario digest, protocol and
+// seed, and keeps the top stripeBits bits of a Fibonacci multiply: the
+// consecutive seeds of one scenario and protocol spread evenly over the
+// stripes, and random digests stay uniform.
+func stripe(k Key) int {
+	x := binary.LittleEndian.Uint64(k[0:]) ^ binary.LittleEndian.Uint64(k[8:]) ^
+		binary.LittleEndian.Uint64(k[16:]) ^ binary.LittleEndian.Uint64(k[24:])
+	return int(x * 0x9e3779b97f4a7c15 >> (64 - stripeBits))
+}
 
 // storeShard is one stripe of the key→location index.
 type storeShard struct {
@@ -92,7 +108,7 @@ type segment struct {
 type Store struct {
 	dir string
 
-	shards [storeShards]storeShard // key→location, striped by key[0]
+	shards [storeShards]storeShard // key→location, striped by stripe(key)
 
 	// segs is a copy-on-write snapshot of all segments; the last entry
 	// is the active segment. Readers Load it without locking;
@@ -108,7 +124,7 @@ type Store struct {
 	nGet, nGetHit, nPut atomic.Uint64
 }
 
-func (s *Store) shard(k Key) *storeShard { return &s.shards[k[0]%storeShards] }
+func (s *Store) shard(k Key) *storeShard { return &s.shards[stripe(k)] }
 
 // lookup probes the striped index.
 func (s *Store) lookup(k Key) (diskLoc, bool) {
@@ -210,12 +226,11 @@ func OpenStore(dir string) (*Store, error) {
 // stripeHint sizes each index stripe so that rebuilding the index never
 // grows a map: the segments' total bytes over the length of the first
 // segment's first record estimate the record count, which is exact when
-// every record has one length, as a campaign's do. Keys are uniform in
-// their low byte, so a stripe's share is binomial around total/
-// storeShards with a spread of about its square root; four of those are
-// slack. A first header that fails its magic or length check gives no
-// estimate, and since a record is at least recHeaderSize+4 bytes the
-// estimate never exceeds the records the bytes could hold.
+// every record has one length, as a campaign's do, and presize spreads
+// it over the stripes. A first header that fails its magic or length
+// check gives no estimate, and since a record is at least
+// recHeaderSize+4 bytes the estimate never exceeds the records the bytes
+// could hold.
 func stripeHint(f *os.File, size, total int64, buf []byte) (int, error) {
 	if size < recHeaderSize+4 {
 		return 0, nil
@@ -228,8 +243,16 @@ func stripeHint(f *os.File, size, total int64, buf []byte) (int, error) {
 	if [4]byte(h[:4]) != diskMagic || rec > size {
 		return 0, nil
 	}
-	per := total / rec / storeShards
-	return int(per + 4*int64(math.Sqrt(float64(per))) + 1), nil
+	return presize(total / rec), nil
+}
+
+// presize is the capacity of each index stripe for n records. stripe
+// spreads keys so that a stripe's share is at most about binomial around
+// n/storeShards, with a spread of about its square root; four of those
+// are slack.
+func presize(n int64) int {
+	per := n / storeShards
+	return int(per + 4*int64(math.Sqrt(float64(per))) + 1)
 }
 
 // recoverSegment scans the size bytes of one segment, indexing every

@@ -754,8 +754,8 @@ func TestDiskStoreRecoverAcrossBlocks(t *testing.T) {
 
 // TestDiskStoreIndexEstimate covers the record-count estimate that
 // sizes the index stripes before a rebuild. On a store of one record
-// length under sha256 keys, the campaign's shape, no stripe holds more
-// keys than its hint, so the rebuild never grows a map. A first record
+// length under uniform sha256 keys, no stripe holds more keys than its
+// hint, so the rebuild never grows a map. A first record
 // shorter than the rest overestimates, and a first header with a bad
 // magic gives no estimate; either way the store opens and serves every
 // intact record.

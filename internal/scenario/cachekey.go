@@ -57,18 +57,19 @@ func (c *RunCache) FlightStats() (hits, misses, duplicates uint64) {
 	return c.hits, c.misses, c.duplicates
 }
 
-// KeyVersion leads both levels of the key encoding. Bump it whenever
-// the encoding, the fields of a digested type, or the model's outputs
-// change, so keys — and the results persisted under them by
-// runcache.Store — from an old layout or an old simulator miss instead
-// of replaying under a new meaning. TestCacheKeyGolden pins one key to
-// force the bump for the encoding, and TestKeyVersionPinsModelOutputs in
-// cmd/emptcpsim pins a digest of the quick goldens and a small campaign
-// to force it for the model.
-const KeyVersion = 3
+// KeyVersion leads the scenario encoding that BaseKey digests, so every
+// run key composed from a base key carries it. Bump it whenever the
+// encoding, the key layout, the fields of a digested type, or the
+// model's outputs change, so keys — and the results persisted under
+// them by runcache.Store — from an old layout or an old simulator miss
+// instead of replaying under a new meaning. TestCacheKeyGolden pins one
+// key to force the bump for the encoding, and
+// TestKeyVersionPinsModelOutputs in cmd/emptcpsim pins a digest of the
+// quick goldens and a small campaign to force it for the model.
+const KeyVersion = 4
 
-// keyVersion is the version byte BaseKey and RunKey write: KeyVersion,
-// except in tests that key runs as the next model would.
+// keyVersion is the version byte BaseKey writes: KeyVersion, except in
+// tests that key runs as the next model would.
 var keyVersion byte = KeyVersion
 
 // Tags of the key encoding: one before every leaf and every composite.
@@ -89,15 +90,17 @@ const (
 // workload, controller overrides, app power), the protocol, and the run
 // options (seed, tracing). It reports ok=false when the run is not
 // cache-eligible: the scenario was built outside this package's library
-// (no link signature, so the link-builder funcs are opaque), or a
-// Recorder observes the run's events in-line.
+// (no link signature, so the link-builder funcs are opaque), a Recorder
+// observes the run's events in-line, or the protocol does not fit the
+// key's one protocol byte.
 //
-// The key has two SHA-256 levels: BaseKey digests the scenario, and
-// RunKey digests that base with the protocol and the run options.
-// Callers that run one scenario many times, such as the campaign grid,
-// hash the scenario once and each run's tail alone. The per-run RNG is
-// rebuilt from Seed, so equal digests imply bit-identical results; that
-// is what lets the campaign engine key its disk store with it.
+// The key has two levels: BaseKey is a SHA-256 of the scenario, and
+// RunKey composes a prefix of that digest with the protocol and the run
+// options verbatim. Callers that run one scenario many times, such as
+// the campaign grid, hash the scenario once and copy bytes per run. The
+// per-run RNG is rebuilt from Seed, so equal keys imply bit-identical
+// results; that is what lets the campaign engine key its disk store
+// with it.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	base, ok := BaseKey(sc)
 	if !ok {
@@ -135,24 +138,34 @@ func BaseKey(sc Scenario) (runcache.Key, bool) {
 	return k, true
 }
 
-// RunKey completes the base key of a scenario with one run's tail: the
-// version byte, the base, then the protocol, seed and Trace as tagged
-// leaves, and a float leaf of 1. The encoding fits one 64-byte buffer
-// on the stack. It reports ok=false when a Recorder observes the run.
+// Where RunKey writes the run's tail over the base key, whose first 22
+// bytes (176 bits of scenario digest) it keeps.
+const (
+	traceAt = 22
+	protoAt = 23
+	seedAt  = 24 // 8 bytes, little-endian, to the key's end
+)
+
+// RunKey completes the base key of a scenario with one run's tail
+// without hashing it again: the key is the base key's first 22 bytes,
+// the Trace flag as 0 or 1, the protocol as one byte and the seed as
+// 8 little-endian bytes. Two runs of one scenario share the prefix and
+// differ in the tail, and runs of two scenarios differ in the prefix
+// unless their 176-bit digest prefixes collide. It reports ok=false
+// when a Recorder observes the run or the protocol does not fit in one
+// byte.
 func RunKey(base runcache.Key, proto Protocol, opt Opts) (runcache.Key, bool) {
-	if opt.Recorder != nil {
+	if opt.Recorder != nil || uint(proto) > math.MaxUint8 {
 		return runcache.Key{}, false
 	}
-	var buf [64]byte
-	b := append(buf[:0], keyVersion)
-	b = append(b, base[:]...)
-	b = appendWord(b, tagInt, uint64(proto))
-	b = appendWord(b, tagInt, uint64(opt.Seed))
-	b = appendBool(b, opt.Trace)
-	// The leaf of the deleted trace sampling period, always 1 s: keeping
-	// it keeps every key, and every record a store holds, as it was.
-	b = appendFloat(b, 1)
-	return runcache.Key(sha256.Sum256(b)), true
+	k := base
+	k[traceAt] = 0
+	if opt.Trace {
+		k[traceAt] = 1
+	}
+	k[protoAt] = byte(proto)
+	binary.LittleEndian.PutUint64(k[seedAt:], uint64(opt.Seed))
+	return k, true
 }
 
 // keyBufs recycles encoding buffers. The walk below is recursive, which

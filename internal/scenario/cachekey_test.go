@@ -208,8 +208,8 @@ func TestCacheKeyLeafFlip(t *testing.T) {
 
 // TestRunKeyComposesBaseKey checks that the two-level key is the only
 // encoding: RunKey over BaseKey equals CacheKey for every library
-// scenario, protocol and option spelling, and a Recorder makes both
-// ineligible.
+// scenario, protocol and option spelling, and a Recorder, or a protocol
+// that does not fit the key's protocol byte, makes both ineligible.
 func TestRunKeyComposesBaseKey(t *testing.T) {
 	dev := energy.GalaxyS3()
 	work := workload.FileDownload{Size: 4 * units.MB}
@@ -243,6 +243,14 @@ func TestRunKeyComposesBaseKey(t *testing.T) {
 		if _, ok := CacheKey(sc, MPTCP, rec); ok {
 			t.Errorf("%s: CacheKey is ok with a Recorder", sc.Name)
 		}
+		for _, proto := range []Protocol{-1, 256} {
+			if _, ok := RunKey(base, proto, Opts{Seed: 1}); ok {
+				t.Errorf("%s: RunKey is ok for protocol %d", sc.Name, proto)
+			}
+			if _, ok := CacheKey(sc, proto, Opts{Seed: 1}); ok {
+				t.Errorf("%s: CacheKey is ok for protocol %d", sc.Name, proto)
+			}
+		}
 	}
 	custom := StaticLab(dev, 6, 4.5, work)
 	custom.linkSig = ""
@@ -272,13 +280,15 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestCacheKeyGolden pins the key of one reference run. A change to the
-// encoding or to a digested type's fields moves it: bump KeyVersion,
+// TestCacheKeyGolden pins the key of one reference run: 22 bytes of its
+// scenario digest, then the trace flag 00, the protocol 02 (MPTCP) and
+// the seed 1 in 8 little-endian bytes. A change to the encoding, the
+// key layout or a digested type's fields moves it: bump KeyVersion,
 // then update the hex here.
 func TestCacheKeyGolden(t *testing.T) {
 	sc := StaticLab(energy.GalaxyS3(), 6, 4.5, workload.FileDownload{Size: 16 * units.MB})
 	k := mustKey(t, sc, MPTCP, Opts{Seed: 1})
-	const want = "6d8ad33b6e39eb9ced0988ae533b8c224b5d77755d9352ef3addd3ccbd0b5d87"
+	const want = "3d5c83eead4ea640fefe9d58f871a26961ad3763143400020100000000000000"
 	if got := hex.EncodeToString(k[:]); got != want {
 		t.Errorf("reference key = %s, want %s", got, want)
 	}
